@@ -295,8 +295,14 @@ def evaluate_scene(
 ) -> dict[str, Metrics]:
     """Metrics for each variant on one (possibly noisy) scene."""
     out: dict[str, Metrics] = {}
+    # Variants may share a head pair ("naive" reuses "untrained"); its loss is
+    # computed once.
+    losses: dict[tuple[int, int], float] = {}
     for variant in VARIANTS:
         head_l, head_c = heads[variant]
+        key = (id(head_l), id(head_c))
+        if key not in losses:
+            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.loss)
         acfg = AlignConfig(
             k_neighbors=cfg.align.k_neighbors,
             metric=cfg.align.metric,
@@ -312,7 +318,7 @@ def evaluate_scene(
             camera_feats=pipe.camera_feats,
             alignment=alignment,
             pairs=pipe.pairs,
-            mean_loss=mean_pair_loss(pipe, head_l, head_c, cfg.loss),
+            mean_loss=losses[key],
         )
         out[variant] = eval_alignment(pipe.scene, output)
     return out
@@ -374,13 +380,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
 
     workers = thread_cap()
 
-    def build_clean(i: int) -> ScenePipeline:
-        return run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg)
+    # Each worker keeps one scene at a time: the train pipelines are reduced
+    # to their pair material, and each eval scene is generated once and
+    # swept over the whole noise grid, so no split's feature maps are all
+    # alive at once.
+    def train_material(i: int) -> ScenePairs | None:
+        return scene_pairs_for_training(run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        train_pipes = list(pool.map(build_clean, train_idx))
-
-    material = [sp for sp in (scene_pairs_for_training(p) for p in train_pipes) if sp]
+        material = [sp for sp in pool.map(train_material, train_idx) if sp]
     result = train_heads(material, cfg.train)
 
     d_in = result.head_lidar.d_in
@@ -390,19 +398,20 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     }
     heads["naive"] = heads["untrained"]
 
-    eval_scenes = {i: gen_scene(cfg.scene, seeds[i]) for i in eval_idx}
+    def eval_one(i: int) -> list[dict[str, Metrics]]:
+        scene = gen_scene(cfg.scene, seeds[i])
+        return [
+            evaluate_scene(run_scene_pipeline(_noisy_scene(scene, spec), cfg), heads, cfg)
+            for spec in cfg.noise_grid
+        ]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_scene = list(pool.map(eval_one, eval_idx))
     noise_points: list[dict] = []
-    for spec in cfg.noise_grid:
-
-        def eval_one(i: int) -> dict[str, Metrics]:
-            noisy = _noisy_scene(eval_scenes[i], spec)
-            return evaluate_scene(run_scene_pipeline(noisy, cfg), heads, cfg)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_scene = list(pool.map(eval_one, eval_idx))
+    for k, spec in enumerate(cfg.noise_grid):
         point = {"noise": spec.to_dict(), "variants": {}}
         for variant in VARIANTS:
-            point["variants"][variant] = _aggregate([m[variant] for m in per_scene])
+            point["variants"][variant] = _aggregate([m[k][variant] for m in per_scene])
         noise_points.append(point)
 
     report = RunReport(

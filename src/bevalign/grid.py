@@ -209,18 +209,20 @@ def bilinear_sample(fmap: FeatureMap, q: tuple[float, float]) -> np.ndarray:
     c0 = min(int(math.floor(col)), w - 2) if w > 1 else 0
     fr = row - r0
     fc = col - c0
-    d = fmap.data.astype(np.float64, copy=False)
+    # Upcast only the blended (at most 2x2xC) neighbourhood: upcasting the
+    # float32 map itself would copy all of it on every call.
+    d = fmap.data[r0 : r0 + 2, c0 : c0 + 2].astype(np.float64)
     if h == 1 and w == 1:
-        return d[0, 0].copy()
+        return d[0, 0]
     if h == 1:
-        return (1.0 - fc) * d[0, c0] + fc * d[0, c0 + 1]
+        return (1.0 - fc) * d[0, 0] + fc * d[0, 1]
     if w == 1:
-        return (1.0 - fr) * d[r0, 0] + fr * d[r0 + 1, 0]
+        return (1.0 - fr) * d[0, 0] + fr * d[1, 0]
     return (
-        (1.0 - fr) * (1.0 - fc) * d[r0, c0]
-        + (1.0 - fr) * fc * d[r0, c0 + 1]
-        + fr * (1.0 - fc) * d[r0 + 1, c0]
-        + fr * fc * d[r0 + 1, c0 + 1]
+        (1.0 - fr) * (1.0 - fc) * d[0, 0]
+        + (1.0 - fr) * fc * d[0, 1]
+        + fr * (1.0 - fc) * d[1, 0]
+        + fr * fc * d[1, 1]
     )
 
 

@@ -1,11 +1,14 @@
 """Config parsing, the experiment harness, and its file outputs."""
 
+import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import bevalign
+from bevalign import experiment
 from bevalign.contrastive import TrainConfig, info_nce, init_heads
 from bevalign.experiment import (
     VARIANTS,
@@ -209,6 +212,24 @@ class TestRunExperiment:
         monkeypatch.setenv("BEVALIGN_THREADS", "1")
         report1, _ = run_experiment(TINY)
         assert metrics_csv(report1) == metrics_csv(report)
+
+    def test_each_scene_is_released_before_the_next_is_made(self, monkeypatch):
+        # With one worker no clean scene outlives its own pipeline, so the
+        # run's memory does not grow with n_scenes.
+        monkeypatch.setenv("BEVALIGN_THREADS", "1")
+        made: list[weakref.ref] = []
+        alive_at_call: list[int] = []
+
+        def tracked(cfg, seed):
+            alive_at_call.append(sum(r() is not None for r in made))
+            scene = gen_scene(cfg, seed)
+            made.append(weakref.ref(scene))
+            return scene
+
+        monkeypatch.setattr(experiment, "gen_scene", tracked)
+        run_experiment(dataclasses.replace(TINY, n_scenes=6))
+        assert len(made) == 6
+        assert alive_at_call == [0] * 6
 
     def test_eval_on_train_fallback(self):
         cfg = ExperimentConfig(

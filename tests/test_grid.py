@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,64 @@ class TestBilinearSample:
         meta_col = GridMeta(0.0, 0.5, 0.0, 1.5, 0.5)
         fmap = FeatureMap(meta=meta_col, data=np.array([[0.0], [2.0], [6.0]])[:, :, None])
         assert bilinear_sample(fmap, (1.5, 0.0))[0] == pytest.approx(4.0)
+
+    @staticmethod
+    def whole_map_reference(fmap, q):
+        """The formula that upcast the whole map before blending."""
+        row, col = q
+        h, w = fmap.meta.height, fmap.meta.width
+        r0 = min(int(math.floor(row)), h - 2) if h > 1 else 0
+        c0 = min(int(math.floor(col)), w - 2) if w > 1 else 0
+        fr = row - r0
+        fc = col - c0
+        d = fmap.data.astype(np.float64)
+        if h == 1 and w == 1:
+            return d[0, 0].copy()
+        if h == 1:
+            return (1.0 - fc) * d[0, c0] + fc * d[0, c0 + 1]
+        if w == 1:
+            return (1.0 - fr) * d[r0, 0] + fr * d[r0 + 1, 0]
+        return (
+            (1.0 - fr) * (1.0 - fc) * d[r0, c0]
+            + (1.0 - fr) * fc * d[r0, c0 + 1]
+            + fr * (1.0 - fc) * d[r0 + 1, c0]
+            + fr * fc * d[r0 + 1, c0 + 1]
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        c=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        draw=st.data(),
+    )
+    def test_bit_identical_to_whole_map_formula(self, h, w, c, seed, draw):
+        fmap = small_map(h=h, w=w, c=c, seed=seed)
+
+        def axis(n):
+            # Interior points plus both edges, so the last row/column is hit.
+            return st.one_of(st.floats(0.0, n - 1.0), st.sampled_from([0.0, n - 1.0]))
+
+        q = (draw.draw(axis(h)), draw.draw(axis(w)))
+        got = bilinear_sample(fmap, q)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, self.whole_map_reference(fmap, q))
+
+    def test_does_not_copy_the_map(self):
+        fmap = FeatureMap(
+            meta=default_meta(),
+            data=np.random.default_rng(0).standard_normal((144, 144, 32)).astype(np.float32),
+        )
+        q = (71.3, 140.6)
+        bilinear_sample(fmap, q)
+        tracemalloc.start()
+        try:
+            bilinear_sample(fmap, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * fmap.data.nbytes
 
     def test_clamp_to_grid(self):
         meta = GridMeta(0.0, 2.0, 0.0, 3.0, 1.0)
