@@ -208,12 +208,14 @@ class ProjectionHead:
         return cls(read_bevf(path)[:, :, 0].astype(np.float64))
 
 
-def init_heads(d_in: int, d_e: int, seed: int) -> tuple[ProjectionHead, ProjectionHead]:
-    """Seeded uniform init scaled by 1/sqrt(D_in); lidar head drawn first."""
+def init_heads(
+    d_in: int, d_e: int, seed: int, d_in_camera: int | None = None
+) -> tuple[ProjectionHead, ProjectionHead]:
+    """Seeded uniform init scaled by 1/sqrt(input width); lidar head drawn
+    first.  The camera head's input width defaults to the lidar one's."""
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(d_in)
-    wl = rng.uniform(-1.0, 1.0, size=(d_in, d_e)) * scale
-    wc = rng.uniform(-1.0, 1.0, size=(d_in, d_e)) * scale
+    widths = (d_in, d_in if d_in_camera is None else d_in_camera)
+    wl, wc = (rng.uniform(-1.0, 1.0, size=(w, d_e)) * (1.0 / np.sqrt(w)) for w in widths)
     return ProjectionHead(wl), ProjectionHead(wc)
 
 
@@ -266,113 +268,101 @@ class TrainResult:
 
 def _flatten_pairs(
     scenes: list[ScenePairs],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every trainable positive pair across scenes into flat arrays:
-    lidar X, camera X, negatives X (concatenated), and per-pair negative
-    counts.  Pairs with no negatives are skipped."""
-    xl, xc, xn, counts = [], [], [], []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stack every trainable positive pair across scenes.  Returns the lidar
+    rows (P, D_L); the camera rows some pair references, each once
+    (N_u, D_C); each pair's positive index into them (P,); a (P, K_max)
+    negative index, padded; and the mask of real negatives.  Pairs with no
+    negatives are skipped."""
+    xl, cam, pos, negs = [], [], [], []
+    n_u = 0
     for sp in scenes:
-        for (i, j), negs in zip(sp.pairs.positives, sp.pairs.negatives):
-            if not negs:
-                continue
-            xl.append(sp.lidar_vectors[i])
-            xc.append(sp.camera_vectors[j])
-            xn.append(sp.camera_vectors[list(negs)])
-            counts.append(len(negs))
+        kept = [(i, j, n) for (i, j), n in zip(sp.pairs.positives, sp.pairs.negatives) if n]
+        rows = sorted({j for _, j, _ in kept}.union(*(n for *_, n in kept)))
+        at = {r: n_u + k for k, r in enumerate(rows)}
+        xl.extend(sp.lidar_vectors[i] for i, _, _ in kept)
+        cam.append(sp.camera_vectors[rows])
+        pos.extend(at[j] for _, j, _ in kept)
+        negs.extend([at[b] for b in n] for *_, n in kept)
+        n_u += len(rows)
     if not xl:
         raise NoPairsError("no positive pair with at least one negative")
-    return (
-        np.asarray(xl, dtype=np.float64),
-        np.asarray(xc, dtype=np.float64),
-        np.concatenate(xn, axis=0),
-        np.asarray(counts, dtype=np.int64),
-    )
+    k_max = max(map(len, negs))
+    neg = np.asarray([n + [0] * (k_max - len(n)) for n in negs])
+    mask = np.asarray([[True] * len(n) + [False] * (k_max - len(n)) for n in negs])
+    return np.asarray(xl, dtype=np.float64), np.concatenate(cam), np.asarray(pos), neg, mask
 
 
 def _pair_eval(
     el: np.ndarray,
-    ec: np.ndarray,
-    en_flat: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
+    eu: np.ndarray,
+    idx: np.ndarray,
+    flat_idx: np.ndarray,
+    valid: np.ndarray,
     cfg: LossConfig,
-) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean loss and embedding-space gradients over all pairs, reduced in
-    fixed pair order.  Returns (loss, pos_sim, neg_sim, dEL, dEC, dEN)."""
+) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """Mean loss and embedding-space gradients over all pairs in one batch.
+
+    el holds the lidar embeddings (P, D_e) and eu the unique camera
+    embeddings (N_u, D_e).  Column 0 of idx (P, 1 + K_max) is each pair's
+    positive row in eu, the rest its negatives; valid marks the logits in
+    the softmax (padding and, unless the positive is in the denominator,
+    column 0 are off).  flat_idx holds idx's row * D_e + col offsets for
+    the scatter.  Returns (loss, pos_sim, neg_sim, dEL, dEU)."""
     p = el.shape[0]
-    same_k = counts.min() == counts.max()
-    if cfg.mode == "dot" and same_k:
-        k = int(counts[0])
-        en = en_flat.reshape(p, k, -1)
-        s_pos = np.einsum("pd,pd->p", el, ec)
-        n = np.einsum("pd,pkd->pk", el, en)
-        if cfg.include_positive_in_denominator:
-            logits = np.concatenate([s_pos[:, None], n], axis=1)
-        else:
-            logits = n
-        m = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - m)
-        lse = m[:, 0] + np.log(ex.sum(axis=1))
-        sigma = ex / ex.sum(axis=1, keepdims=True)
-        if cfg.include_positive_in_denominator:
-            sigma_pos, sigma_n = sigma[:, 0], sigma[:, 1:]
-        else:
-            sigma_pos, sigma_n = np.zeros(p), sigma
-        losses = -s_pos + lse
-        del_ = (sigma_pos - 1.0)[:, None] * ec + np.einsum("pk,pkd->pd", sigma_n, en)
-        dec = (sigma_pos - 1.0)[:, None] * el
-        den = sigma_n[:, :, None] * el[:, None, :]
-        return (
-            float(losses.mean()),
-            float(s_pos.mean()),
-            float(n.mean()),
-            del_ / p,
-            dec / p,
-            den.reshape(-1, el.shape[1]) / p,
-        )
-    # ragged or cosine: per-pair reference path
-    del_ = np.zeros_like(el)
-    dec = np.zeros_like(ec)
-    den = np.zeros_like(en_flat)
-    losses = np.empty(p)
-    pos_sims = np.empty(p)
-    neg_sum = 0.0
-    neg_count = 0
-    for idx in range(p):
-        lo, hi = offsets[idx], offsets[idx] + counts[idx]
-        rep = info_nce(el[idx], ec[idx], en_flat[lo:hi], cfg)
-        losses[idx] = rep.value
-        pos_sims[idx] = rep.pos_sim
-        neg_sum += float(rep.neg_sims.sum())
-        neg_count += int(counts[idx])
-        del_[idx] = rep.grad_pos_lidar
-        dec[idx] = rep.grad_pos_camera
-        den[lo:hi] = rep.grad_negatives
+    if cfg.mode == "cosine":
+        na = np.linalg.norm(el, axis=1)[:, None]
+        nu = np.linalg.norm(eu, axis=1)[:, None]
+        if na.min() < ZERO_NORM_EPS or nu.min() < ZERO_NORM_EPS:
+            raise ZeroVectorError("cosine similarity of a zero vector")
+        a, c, scale = el / na, eu / nu, 1.0 / cfg.temperature
+    else:
+        a, c, scale = el, eu, 1.0
+    ec = np.take(c, idx, axis=0)
+    s = scale * np.einsum("pd,pkd->pk", a, ec)
+    logits = np.where(valid, s, -np.inf)
+    m = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - m)
+    total = ex.sum(axis=1, keepdims=True)
+    losses = -s[:, 0] + m[:, 0] + np.log(total[:, 0])
+    # d loss / d s: softmax weight, minus one on the positive.
+    w = ex / total
+    w[:, 0] -= 1.0
+    w *= scale / p
+    da = np.einsum("pk,pkd->pd", w, ec)
+    dc = np.bincount(
+        flat_idx, weights=np.einsum("pk,pd->pkd", w, a).ravel(), minlength=eu.size
+    ).reshape(eu.shape)
+    if cfg.mode == "cosine":
+        da = (da - a * np.einsum("pd,pd->p", a, da)[:, None]) / na
+        dc = (dc - c * np.einsum("pd,pd->p", c, dc)[:, None]) / nu
     return (
         float(losses.mean()),
-        float(pos_sims.mean()),
-        neg_sum / neg_count,
-        del_ / p,
-        dec / p,
-        den / p,
+        float(s[:, 0].mean()),
+        float((s[:, 1:] * valid[:, 1:]).sum() / valid[:, 1:].sum()),
+        da,
+        dc,
     )
 
 
 def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on the mean pair loss.
 
-    The loss trace has length steps + 1; entry 0 is the loss at the seeded
-    initialization and entry t the loss after t updates.  Deterministic for
-    a fixed (scenes, cfg)."""
-    xl, xc, xn_flat, counts = _flatten_pairs(scenes)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    d_in = xl.shape[1]
-    head_l, head_c = init_heads(d_in, cfg.d_e, cfg.seed)
+    Each step projects every referenced camera row once and sums its
+    gradient over all pairs that use it.  The loss trace has length
+    steps + 1; entry 0 is the loss at the seeded initialization and entry t
+    the loss after t updates.  Deterministic for a fixed (scenes, cfg)."""
+    xl, xu, pos, neg, mask = _flatten_pairs(scenes)
+    idx = np.concatenate([pos[:, None], neg], axis=1)
+    in_denominator = np.full((len(pos), 1), cfg.loss.include_positive_in_denominator)
+    valid = np.concatenate([in_denominator, mask], axis=1)
+    flat_idx = (idx[:, :, None] * cfg.d_e + np.arange(cfg.d_e)).ravel()
+    head_l, head_c = init_heads(xl.shape[1], cfg.d_e, cfg.seed, xu.shape[1])
     wl = head_l.weights.copy()
     wc = head_c.weights.copy()
 
     def sq_dists(wl_: np.ndarray, wc_: np.ndarray) -> float:
-        d = xl @ wl_ - xc @ wc_
+        d = xl @ wl_ - (xu @ wc_)[pos]
         return float(np.mean(np.einsum("pd,pd->p", d, d)))
 
     dist_before = sq_dists(wl, wc)
@@ -380,8 +370,8 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     pos_trace = np.empty(cfg.steps + 1)
     neg_trace = np.empty(cfg.steps + 1)
     for step in range(cfg.steps + 1):
-        loss, pos_sim, neg_sim, del_, dec, den = _pair_eval(
-            xl @ wl, xc @ wc, xn_flat @ wc, offsets, counts, cfg.loss
+        loss, pos_sim, neg_sim, del_, deu = _pair_eval(
+            xl @ wl, xu @ wc, idx, flat_idx, valid, cfg.loss
         )
         trace[step] = loss
         pos_trace[step] = pos_sim
@@ -389,7 +379,7 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
         if step == cfg.steps:
             break
         wl = wl - cfg.step_size * (xl.T @ del_)
-        wc = wc - cfg.step_size * (xc.T @ dec + xn_flat.T @ den)
+        wc = wc - cfg.step_size * (xu.T @ deu)
 
     return TrainResult(
         head_lidar=ProjectionHead(wl),

@@ -391,10 +391,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
         material = [sp for sp in pool.map(train_material, train_idx) if sp]
     result = train_heads(material, cfg.train)
 
-    d_in = result.head_lidar.d_in
     heads = {
         "trained": (result.head_lidar, result.head_camera),
-        "untrained": init_heads(d_in, cfg.train.d_e, cfg.train.seed),
+        "untrained": init_heads(
+            result.head_lidar.d_in, cfg.train.d_e, cfg.train.seed, result.head_camera.d_in
+        ),
     }
     heads["naive"] = heads["untrained"]
 

@@ -33,6 +33,15 @@ def cfg_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def unequal_cfg_file(tmp_path):
+    """TINY_CFG with 8 lidar and 12 camera channels."""
+    cfg = {**TINY_CFG, "scene": {**TINY_CFG["scene"], "c_lidar": 8, "c_camera": 12}}
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_verdict(self, capsys):
         assert main(["gradcheck", "--trials", "20"]) == 0
@@ -110,6 +119,13 @@ class TestRunCommand:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
+    def test_unequal_channel_counts_run(self, unequal_cfg_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(unequal_cfg_file), "--out", str(out)]) == 0
+        for name in ("report.json", "metrics.csv", "loss_trace.csv"):
+            assert (out / name).exists()
+
+
 class TestGenSceneCommand:
     def test_writes_a_loadable_bundle(self, cfg_file, tmp_path, capsys):
         bundle = tmp_path / "bundle"
@@ -170,6 +186,18 @@ class TestAlignCommand:
         trace = (out / "loss_trace.csv").read_text().strip().split("\n")
         assert trace[0] == "step,mean_loss,mean_pos_sim,mean_neg_sim"
         assert len(trace) == 1 + 11
+
+    def test_unequal_channel_counts_bundle_flow(self, unequal_cfg_file, tmp_path):
+        cfg = str(unequal_cfg_file)
+        bundle, out = tmp_path / "bundle", tmp_path / "aligned"
+        assert main(["gen-scene", "--out", str(bundle), "--seed", "3", "--config", cfg]) == 0
+        assert main(["align", "--bundle", str(bundle), "--out", str(out), "--config", cfg]) == 0
+        fused = load_feature_map(out / "fused")
+        assert fused.channels == 8 + 12 + 12
+        sidecar = json.loads((out / "fused.json").read_text())
+        assert sidecar["channel_layout"] == {
+            "lidar": [0, 8], "camera": [8, 20], "instance": [20, 32],
+        }
 
     def test_missing_bundle_is_a_runtime_failure(self, tmp_path, capsys):
         code = main(["align", "--bundle", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

@@ -220,6 +220,38 @@ class TestProjectionHead:
         hl2, _ = init_heads(5, 3, seed=42)
         assert np.array_equal(hl.weights, hl2.weights)
 
+    def test_init_heads_camera_width(self):
+        hl, hc = init_heads(5, 3, seed=42, d_in_camera=7)
+        rng = np.random.default_rng(42)
+        assert np.array_equal(hl.weights, rng.uniform(-1, 1, size=(5, 3)) * (1.0 / np.sqrt(5)))
+        assert np.array_equal(hc.weights, rng.uniform(-1, 1, size=(7, 3)) * (1.0 / np.sqrt(7)))
+        same = init_heads(5, 3, seed=42, d_in_camera=5)
+        default = init_heads(5, 3, seed=42)
+        assert all(np.array_equal(a.weights, b.weights) for a, b in zip(same, default))
+
+
+@st.composite
+def ragged_scenes(draw):
+    """1-3 scenes with their own lidar and camera widths and ragged negative
+    lists; camera row 0 is never a positive and is every pair's negative."""
+    d_l, d_c = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenes = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_l, n_c = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+        positives, negatives = [], []
+        for i in range(n_l):
+            j = draw(st.integers(1, n_c - 1))
+            others = [b for b in range(1, n_c) if b != j]
+            extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+            positives.append((i, j))
+            negatives.append((0, *extra))
+        pairs = PairSet(0.1, n_c, tuple(positives), tuple(negatives))
+        scenes.append(
+            ScenePairs(rng.standard_normal((n_l, d_l)), rng.standard_normal((n_c, d_c)), pairs)
+        )
+    return scenes
+
 
 def reference_train(scenes, cfg):
     """Per-pair loop trainer used as an independent route: same math as
@@ -231,8 +263,7 @@ def reference_train(scenes, cfg):
                 flat.append(
                     (sp.lidar_vectors[i], sp.camera_vectors[j], sp.camera_vectors[list(negs)])
                 )
-    d_in = flat[0][0].shape[0]
-    hl, hc = init_heads(d_in, cfg.d_e, cfg.seed)
+    hl, hc = init_heads(flat[0][0].shape[0], cfg.d_e, cfg.seed, flat[0][1].shape[0])
     wl = hl.weights.copy()
     wc = hc.weights.copy()
     p = len(flat)
@@ -269,13 +300,45 @@ class TestTrainHeads:
 
     def test_ragged_and_cosine_paths_match_reference(self):
         ragged = [make_scene_pairs(n=5, d=6, k=3, seed=2, ragged=True)]
-        for loss in (LossConfig(mode="dot"), LossConfig(mode="cosine")):
+        for loss in ALL_CONFIGS:
             cfg = TrainConfig(steps=3, step_size=0.05, d_e=4, seed=1, loss=loss)
             result = train_heads(ragged, cfg)
             wl, wc, trace = reference_train(ragged, cfg)
             np.testing.assert_allclose(result.loss_trace, trace, rtol=0, atol=1e-12)
             np.testing.assert_allclose(result.head_lidar.weights, wl, rtol=0, atol=1e-12)
             np.testing.assert_allclose(result.head_camera.weights, wc, rtol=0, atol=1e-12)
+
+    @given(scenes=ragged_scenes(), loss=st.sampled_from(ALL_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_ragged_scenes(self, scenes, loss):
+        """Camera row 0 of every scene is a negative of all its pairs, so its
+        gradient is summed over several pairs."""
+        cfg = TrainConfig(steps=3, step_size=0.05, d_e=3, seed=2, loss=loss)
+        result = train_heads(scenes, cfg)
+        wl, wc, trace = reference_train(scenes, cfg)
+        np.testing.assert_allclose(result.loss_trace, trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.head_lidar.weights, wl, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.head_camera.weights, wc, rtol=0, atol=1e-12)
+
+    def test_cosine_zero_rows(self):
+        """Only a zero row that some pair references is an error."""
+        rng = np.random.default_rng(8)
+        lv, cv = rng.standard_normal((2, 5)), rng.standard_normal((4, 6))
+        pairs = PairSet(0.1, 1, ((0, 0), (1, 1)), ((2,), (2,)))
+        cfg = TrainConfig(steps=2, d_e=3, loss=LossConfig(mode="cosine"))
+        base = train_heads([ScenePairs(lv, cv[:3], pairs)], cfg)
+        unreferenced = cv.copy()
+        unreferenced[3] = 0.0
+        result = train_heads([ScenePairs(lv, unreferenced, pairs)], cfg)
+        assert np.array_equal(result.loss_trace, base.loss_trace)
+        negative = cv.copy()
+        negative[2] = 0.0
+        with pytest.raises(ZeroVectorError):
+            train_heads([ScenePairs(lv, negative, pairs)], cfg)
+        lidar = lv.copy()
+        lidar[1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            train_heads([ScenePairs(lidar, cv, pairs)], cfg)
 
     def test_trace_length_and_zero_steps(self):
         scenes = [make_scene_pairs()]
