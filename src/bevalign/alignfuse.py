@@ -1,7 +1,7 @@
 """Inference-time instance alignment and fused-map assembly.
 
 Each LiDAR instance is scored against the K camera instances nearest to it
-(positions via the same exact KD lookup used for training negatives), the
+(positions via the same exact `pairing.knn` used for training negatives), the
 argmax neighbor is selected, and the chosen camera instance features are
 written back into dedicated channels of a concatenated BEV map.  Ties in
 score go to the lower neighbor rank, so results are order-stable.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import ProjectionHead, cosine_sim
+from .contrastive import ZERO_NORM_EPS, ProjectionHead, ZeroVectorError, cosine_sim
 from .grid import (
     FeatureMap,
     require_same_meta,
@@ -23,7 +23,7 @@ from .grid import (
     world_to_grid,
 )
 from .instance import Proposal, RoiFeature
-from .pairing import PairSet, build_kd
+from .pairing import PairSet, knn
 
 
 class EmptyNeighborhoodError(ValueError):
@@ -99,11 +99,6 @@ class AlignmentResult:
         }
 
 
-def _argmax_lowest(scores: np.ndarray) -> int:
-    # np.argmax already returns the first (lowest-rank) maximum
-    return int(np.argmax(scores))
-
-
 def align(
     lidar_inst: RoiFeature,
     neighbors: list[RoiFeature],
@@ -112,7 +107,8 @@ def align(
     cfg: AlignConfig = AlignConfig(),
 ) -> AlignEntry:
     """Score one LiDAR instance against an ordered camera candidate list and
-    pick the argmax (ties -> lower rank)."""
+    pick the argmax (ties -> lower rank).  This is the per-candidate
+    reference that align_instances' batched scores are checked against."""
     if not neighbors:
         raise EmptyNeighborhoodError("no camera candidates for alignment")
     el = head_lidar.project(lidar_inst.vector)
@@ -127,7 +123,8 @@ def align(
         lidar_index=lidar_inst.proposal_id,
         neighbor_indices=tuple(c.proposal_id for c in neighbors),
         scores=scores,
-        chosen_rank=_argmax_lowest(scores),
+        # np.argmax returns the first maximum, i.e. the lowest rank
+        chosen_rank=int(np.argmax(scores)),
     )
 
 
@@ -141,38 +138,44 @@ def align_instances(
     """Scene-level alignment: the candidate set for each LiDAR instance is
     its k nearest camera instances by center position (exact rank order,
     distance ties -> lower camera index).  Instances with no camera
-    detections at all pass through with chosen_rank=None."""
-    if not camera_feats:
+    detections at all pass through with chosen_rank=None.
+
+    Each modality is projected once and all (instance, candidate) scores
+    come from one gathered (N_L, K, D_e) product, so the "embedding" scores
+    equal align()'s up to float summation order."""
+    if not (lidar_feats and camera_feats):
         return AlignmentResult(
             entries=tuple(
                 AlignEntry(f.proposal_id, (), np.empty(0), None) for f in lidar_feats
             )
         )
-    centers = np.asarray([c.center for c in camera_feats])
-    index = build_kd(centers)
-    entries = []
-    for feat in lidar_feats:
-        ranks = index.query(np.asarray(feat.center), cfg.k_neighbors)
-        cands = [camera_feats[r] for r in ranks]
-        if cfg.variant == "nearest":
-            # rank order is already nearest-first; score by closeness so the
-            # argmax invariant still holds
-            d = np.array(
-                [
-                    -float(np.sum((np.asarray(c.center) - np.asarray(feat.center)) ** 2))
-                    for c in cands
-                ]
-            )
-            entry = AlignEntry(
-                lidar_index=feat.proposal_id,
-                neighbor_indices=tuple(c.proposal_id for c in cands),
-                scores=d,
-                chosen_rank=0,
-            )
-        else:
-            entry = align(feat, cands, head_lidar, head_camera, cfg)
-        entries.append(entry)
-    return AlignmentResult(entries=tuple(entries))
+    lidar_xy = np.array([f.center for f in lidar_feats])
+    camera_xy = np.array([c.center for c in camera_feats])
+    near = knn(camera_xy, lidar_xy, cfg.k_neighbors)
+    if cfg.variant == "nearest":
+        # rank order is already nearest-first; score by closeness so the
+        # argmax invariant still holds
+        d = camera_xy[near] - lidar_xy[:, None, :]
+        scores = -(d[..., 0] ** 2 + d[..., 1] ** 2)
+        chosen = np.zeros(len(lidar_feats), dtype=np.int64)
+    else:
+        el = head_lidar.project(np.array([f.vector for f in lidar_feats]))
+        ec = head_camera.project(np.array([c.vector for c in camera_feats]))
+        scores = np.einsum("ld,lkd->lk", el, ec[near])
+        if cfg.metric == "cosine":
+            nl = np.linalg.norm(el, axis=1)
+            nc = np.linalg.norm(ec, axis=1)[near]
+            if nl.min() < ZERO_NORM_EPS or nc.min() < ZERO_NORM_EPS:
+                raise ZeroVectorError("cosine similarity of a zero vector")
+            scores = scores / (nl[:, None] * nc)
+        chosen = scores.argmax(axis=1)
+    camera_ids = np.array([c.proposal_id for c in camera_feats])[near].tolist()
+    return AlignmentResult(
+        entries=tuple(
+            AlignEntry(f.proposal_id, tuple(ids), row, int(rank))
+            for f, ids, row, rank in zip(lidar_feats, camera_ids, scores, chosen)
+        )
+    )
 
 
 @dataclass(frozen=True)

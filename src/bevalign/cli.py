@@ -41,6 +41,7 @@ from .oracles import (
     gradcheck_info_nce,
 )
 from .scenesim import (
+    NoiseSpec,
     apply_spatial_noise,
     apply_temporal_noise,
     gen_scene,
@@ -168,6 +169,11 @@ def _cmd_gen_scene(args) -> int:
         cfg = _scene_cfg_from(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    try:
+        NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
+    except ValueError as e:
+        print(f"gen-scene: {e}", file=sys.stderr)
         return 2
     try:
         scene = gen_scene(cfg.scene, args.seed)

@@ -191,8 +191,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 )
 
     return ExperimentConfig(
-        n_scenes=int(raw.get("n_scenes", 4)),
-        base_seed=int(raw.get("base_seed", 0)),
+        n_scenes=_int_field(raw, "n_scenes", 4),
+        base_seed=_int_field(raw, "base_seed", 0),
         out_dir=str(raw.get("out_dir", "run_out")),
         meta=meta,
         scene=scene,
@@ -203,6 +203,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         align=align,
         noise_grid=tuple(points),
     )
+
+
+def _int_field(raw: dict, key: str, default: int) -> int:
+    # JSON true/false parse as bool, a subclass of int
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+    return value
 
 
 def _listfix(section: dict, key: str) -> dict:

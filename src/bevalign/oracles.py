@@ -259,26 +259,25 @@ def gradcheck_info_nce(
 
 
 def check_knn(seed: int = 0, n_queries: int = 100, n_points: int = 1000) -> CheckReport:
-    """KD index vs brute-force sort: exact index-sequence equality."""
-    from .pairing import build_kd
+    """pairing.knn vs brute-force sort: exact index-sequence equality."""
+    from .pairing import knn
 
     rng = np.random.default_rng(seed)
     points = rng.uniform(-54.0, 54.0, size=(n_points, 2))
     # inject duplicates so distance ties actually occur
     points[n_points // 2 :: 7] = points[: (n_points - n_points // 2 - 1) // 7 + 1]
-    index = build_kd(points)
     for t in range(n_queries):
         q = rng.uniform(-60.0, 60.0, size=2)
         k = int(rng.integers(1, 17))
-        got = index.query(q, k)
+        got = knn(points, q[None, :], k)[0].tolist()
         want = knn_brute(points, q, k)
-        if list(got) != list(want):
+        if got != want:
             return CheckReport(
                 kind="knn",
                 trials=t + 1,
                 passed=False,
                 max_err=float("inf"),
-                detail={"query": q.tolist(), "k": k, "got": list(got), "want": want},
+                detail={"query": q.tolist(), "k": k, "got": got, "want": want},
             )
     return CheckReport(kind="knn", trials=n_queries, passed=True, max_err=0.0)
 

@@ -3,8 +3,8 @@
 Positive pairs match LiDAR boxes to camera boxes one-to-one by greedy
 argmax IoU (LiDAR index order, ties to the lower camera index), thresholded
 at tau_iou.  Negatives are the K nearest camera instances around each
-positive pair's anchor, found with a balanced KD-tree whose answers are
-exact: neighbors are ordered by (squared distance, index), so any tie
+positive pair's anchor, found by `knn`, an exact sort of all squared
+distances: neighbors are ordered by (squared distance, index), so any tie
 resolves to the lower index, matching a brute-force distance sort.
 
 IoU is axis-aligned throughout; proposal yaw never enters the box geometry.
@@ -18,7 +18,7 @@ import numpy as np
 
 
 class EmptyInputError(ValueError):
-    """KD-tree build requires at least one point."""
+    """A nearest-neighbor search needs at least one point."""
 
 
 @dataclass(frozen=True)
@@ -87,124 +87,30 @@ def positive_pairs(
     return pairs
 
 
-class KdIndex:
-    """Balanced 2-D KD-tree over a fixed point set.
-
-    Built by median splits on alternating axes.  k-nearest queries rank
-    candidates by (squared distance, index) so results are identical to a
-    brute-force sort under the lower-index tie rule.
-    """
-
-    __slots__ = ("points", "_node", "_left", "_right", "_axis", "_n_nodes")
-
-    def __init__(self, points: np.ndarray | list[tuple[float, float]]):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must be (N, 2), got shape {pts.shape}")
-        if pts.shape[0] == 0:
-            raise EmptyInputError("cannot index an empty point set")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
-        self.points = pts
-        n = pts.shape[0]
-        # flat tree storage: node id -> point index, children, split axis
-        self._node = np.empty(n, dtype=np.int64)
-        self._left = np.full(n, -1, dtype=np.int64)
-        self._right = np.full(n, -1, dtype=np.int64)
-        self._axis = np.empty(n, dtype=np.int64)
-        self._n_nodes = 0
-        self._build(np.arange(n), 0)
-
-    def _build(self, indices: np.ndarray, depth: int) -> int:
-        if indices.size == 0:
-            return -1
-        axis = depth % 2
-        mid = indices.size // 2
-        order = np.argpartition(self.points[indices, axis], mid)
-        indices = indices[order]
-        node = self._n_nodes
-        self._n_nodes += 1
-        self._node[node] = indices[mid]
-        self._axis[node] = axis
-        left = self._build(indices[:mid], depth + 1)
-        right = self._build(indices[mid + 1 :], depth + 1)
-        self._left[node] = left
-        self._right[node] = right
-        return node
-
-    def query(self, point: tuple[float, float], k: int) -> list[int]:
-        """Indices of the k nearest points to `point`, ordered by ascending
-        distance with ties to the lower index.  Returns all points if k
-        exceeds the set size."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        q = np.asarray(point, dtype=np.float64)
-        k = min(k, self.points.shape[0])
-        # best: ascending (d2, idx); worst kept last
-        best: list[tuple[float, int]] = []
-        self._search(0, q, k, best)
-        return [idx for _, idx in best]
-
-    def _search(self, node: int, q: np.ndarray, k: int, best: list[tuple[float, int]]) -> None:
-        if node < 0:
-            return
-        idx = int(self._node[node])
-        p = self.points[idx]
-        dx = q[0] - p[0]
-        dy = q[1] - p[1]
-        cand = (dx * dx + dy * dy, idx)
-        if len(best) < k:
-            _insort(best, cand)
-        elif cand < best[-1]:
-            best.pop()
-            _insort(best, cand)
-        axis = int(self._axis[node])
-        delta = q[axis] - p[axis]
-        near, far = (self._left[node], self._right[node]) if delta < 0 else (
-            self._right[node],
-            self._left[node],
-        )
-        self._search(int(near), q, k, best)
-        # descend the far side unless the splitting plane is strictly farther
-        # than the current worst; at equality a lower-index tie may hide there
-        if len(best) < k or delta * delta <= best[-1][0]:
-            self._search(int(far), q, k, best)
-
-
-def _insort(best: list[tuple[float, int]], cand: tuple[float, int]) -> None:
-    lo, hi = 0, len(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if best[mid] < cand:
-            lo = mid + 1
-        else:
-            hi = mid
-    best.insert(lo, cand)
-
-
-def build_kd(centers: np.ndarray | list[tuple[float, float]]) -> KdIndex:
-    return KdIndex(centers)
-
-
-def knn_negatives(
-    pair: tuple[int, int],
-    boxes_camera: list[Box2D],
-    index: KdIndex,
+def knn(
+    points: np.ndarray | list[tuple[float, float]],
+    queries: np.ndarray | list[tuple[float, float]],
     k: int,
-    anchor: tuple[float, float] | None = None,
-) -> list[int]:
-    """K camera indices nearest the positive pair's anchor (the matched
-    camera center unless an explicit anchor is given), excluding the paired
-    camera index itself, ordered by ascending distance."""
+) -> np.ndarray:
+    """Indices of the k nearest points to each query, shape (Q, min(k, N)).
+
+    Each row is ordered by ascending squared distance; the stable sort sends
+    any tie to the lower index, so a row equals a brute-force sort on
+    (squared distance, index)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must be (N, 2), got shape {pts.shape}")
+    if pts.shape[0] == 0:
+        raise EmptyInputError("cannot search an empty point set")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
-    _, j = pair
-    if anchor is None:
-        anchor = (boxes_camera[j].cx, boxes_camera[j].cy)
-    # query one extra so dropping j still leaves k candidates when possible
-    got = index.query(anchor, min(k + 1, len(boxes_camera)))
-    out = [idx for idx in got if idx != j]
-    return out[:k]
+        raise ValueError(f"k must be >= 1, got {k}")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValueError(f"queries must be (Q, 2), got shape {q.shape}")
+    d2 = (q[:, None, 0] - pts[None, :, 0]) ** 2 + (q[:, None, 1] - pts[None, :, 1]) ** 2
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 @dataclass(frozen=True)
@@ -271,13 +177,20 @@ class PairSet:
 def build_pairs(
     boxes_lidar: list[Box2D], boxes_camera: list[Box2D], cfg: PairConfig
 ) -> PairSet:
-    """Positive pairs by IoU plus per-pair KNN negatives over camera centers."""
+    """Positive pairs by IoU plus per-pair KNN negatives over camera centers:
+    the K camera indices nearest each pair's anchor (see PairConfig),
+    excluding the paired camera index, ordered by ascending distance."""
     pos = positive_pairs(boxes_lidar, boxes_camera, cfg.tau_iou)
     if not pos:
         return PairSet(cfg.tau_iou, cfg.k_negatives, ())
-    index = build_kd([(b.cx, b.cy) for b in boxes_camera])
-    negs = []
-    for i, j in pos:
-        anchor = None if cfg.anchor == "camera" else (boxes_lidar[i].cx, boxes_lidar[i].cy)
-        negs.append(tuple(knn_negatives((i, j), boxes_camera, index, cfg.k_negatives, anchor)))
-    return PairSet(cfg.tau_iou, cfg.k_negatives, tuple(pos), tuple(negs))
+    centers = [(b.cx, b.cy) for b in boxes_camera]
+    anchors = [
+        centers[j] if cfg.anchor == "camera" else (boxes_lidar[i].cx, boxes_lidar[i].cy)
+        for i, j in pos
+    ]
+    # one extra neighbor so dropping j still leaves K candidates when possible
+    near = knn(centers, anchors, cfg.k_negatives + 1).tolist()
+    negs = tuple(
+        tuple(n for n in row if n != j)[: cfg.k_negatives] for (_, j), row in zip(pos, near)
+    )
+    return PairSet(cfg.tau_iou, cfg.k_negatives, tuple(pos), negs)

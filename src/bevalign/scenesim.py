@@ -25,6 +25,7 @@ Noise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -124,6 +125,9 @@ class NoiseSpec:
     lag: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma_t < 0 or self.sigma_r < 0 or self.lag < 0:
             raise ValueError("noise magnitudes must be non-negative")
 

@@ -109,7 +109,7 @@ def test_c2_uniform_logit_anchor(verdict):
 
 
 def test_c3_oracle_equivalence_suite(verdict):
-    """KD KNN == brute force (1000 pts x 100 queries, exact); IoU vs 0.01 m
+    """pairing.knn == brute force (1000 pts x 100 queries, exact); IoU vs 0.01 m
     raster <= 2e-2 over 1000 pairs; bilinear vs 4-term oracle <= 1e-12 over
     1000 draws; peaks == exhaustive scan on 100 maps (exact).  Under 60 s."""
     t0 = time.perf_counter()

@@ -16,7 +16,7 @@ from bevalign.alignfuse import (
     fuse,
     reduce_roi_vector,
 )
-from bevalign.contrastive import ProjectionHead, cosine_sim
+from bevalign.contrastive import ProjectionHead, ZeroVectorError, cosine_sim
 from bevalign.grid import FeatureMap, GridMeta, MetaMismatchError, load_feature_map
 from bevalign.instance import Proposal, RoiFeature
 from bevalign.oracles import knn_brute
@@ -165,6 +165,79 @@ class TestAlignInstances:
                 RoiFeature(c.proposal_id, c.modality, lam * c.vector, c.box) for c in camera
             ]
             assert align_instances(lidar, scaled, *EYE_HEADS, cfg).chosen() == base
+
+
+def reference_alignment(lidar, camera, head_lidar, head_camera, cfg):
+    """The per-instance path align_instances replaces: brute-force neighbors,
+    then align() per LiDAR instance, or minus the squared distance for the
+    nearest variant."""
+    centers = np.asarray([c.center for c in camera])
+    entries = []
+    for lf in lidar:
+        cands = [camera[r] for r in knn_brute(centers, lf.center, cfg.k_neighbors)]
+        if cfg.variant == "embedding":
+            entries.append(align(lf, cands, head_lidar, head_camera, cfg))
+            continue
+        d = [-float(np.sum((np.asarray(c.center) - np.asarray(lf.center)) ** 2)) for c in cands]
+        entries.append(AlignEntry(lf.proposal_id, tuple(c.proposal_id for c in cands), d, 0))
+    return entries
+
+
+def lattice_scene(seed):
+    """Random LiDAR and camera instances on a coarse lattice, so distance
+    ties and coincident centers are common; camera ids are a shuffled range
+    that differs from list positions."""
+    rng = np.random.default_rng(seed)
+    n_l, n_c = int(rng.integers(1, 13)), int(rng.integers(1, 11))
+    lidar = [
+        feat(i, *rng.integers(0, 4, size=2).astype(float), rng.standard_normal(D), "lidar")
+        for i in range(n_l)
+    ]
+    camera = [
+        feat(int(pid), *rng.integers(0, 4, size=2).astype(float), rng.standard_normal(D))
+        for pid in rng.permutation(n_c) + 100
+    ]
+    heads = tuple(ProjectionHead(rng.standard_normal((D, 4))) for _ in range(2))
+    return lidar, camera, heads
+
+
+class TestAlignInstancesOracle:
+    @pytest.mark.parametrize("variant", ["embedding", "nearest"])
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    @pytest.mark.parametrize("k", [1, 3, None])  # None: more than the camera count
+    def test_matches_per_instance_align(self, metric, variant, k):
+        for seed in range(30):
+            lidar, camera, heads = lattice_scene(seed)
+            cfg = AlignConfig(k_neighbors=k or len(camera) + 4, metric=metric, variant=variant)
+            got = align_instances(lidar, camera, *heads, cfg).entries
+            want = reference_alignment(lidar, camera, *heads, cfg)
+            assert len(got) == len(want) == len(lidar)
+            for g, w in zip(got, want):
+                assert g.lidar_index == w.lidar_index
+                assert g.neighbor_indices == w.neighbor_indices
+                if variant == "nearest":
+                    assert np.array_equal(g.scores, w.scores)
+                    assert g.chosen_rank == w.chosen_rank == 0
+                    continue
+                atol = 1e-12 * max(1.0, float(np.abs(w.scores).max()))
+                np.testing.assert_allclose(g.scores, w.scores, rtol=0.0, atol=atol)
+                top = np.sort(w.scores)[::-1]
+                if top.size == 1 or top[0] - top[1] > 1e-9:
+                    assert g.chosen_rank == w.chosen_rank
+
+    def test_zero_camera_candidate_raises_only_in_cosine_mode(self):
+        lidar = [feat(0, 0.0, 0.0, np.ones(D), "lidar")]
+        camera = [feat(0, 1.0, 0.0, np.ones(D)), feat(1, 2.0, 0.0, np.zeros(D))]
+        cosine = AlignConfig(k_neighbors=2, metric="cosine")
+        with pytest.raises(ZeroVectorError):
+            align(lidar[0], camera, *EYE_HEADS, cosine)
+        with pytest.raises(ZeroVectorError):
+            align_instances(lidar, camera, *EYE_HEADS, cosine)
+        # the zero row is fine when no instance uses it, or under the dot metric
+        near = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=1))
+        assert near.chosen() == {0: 0}
+        dot = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=2, metric="dot"))
+        assert dot.entries[0].scores[1] == 0.0
 
 
 class TestReduceRoiVector:

@@ -125,6 +125,38 @@ class TestRunCommand:
         for name in ("report.json", "metrics.csv", "loss_trace.csv"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("n_scenes", "abc"),
+            ("n_scenes", 2.5),
+            ("n_scenes", True),
+            ("base_seed", "x"),
+            ("base_seed", 1.0),
+            ("base_seed", False),
+        ],
+    )
+    def test_non_integer_count_or_seed_names_the_field(self, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CFG, key: value}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{key}'" in err
+        assert "integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis", ["sigma_t", "sigma_r", "lag"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise_value_names_the_field(self, axis, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        # json writes these as NaN / Infinity / -Infinity, which json.loads accepts
+        path.write_text(json.dumps({**TINY_CFG, "noise_grid": {axis: [0.0, value]}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'noise_grid'" in err
+        assert f"{axis} must be finite" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenSceneCommand:
     def test_writes_a_loadable_bundle(self, cfg_file, tmp_path, capsys):
@@ -151,6 +183,21 @@ class TestGenSceneCommand:
         assert noise["lag_total"] == 0.5
         assert noise["tx"] != 0.0 or noise["ty"] != 0.0
         assert noise["theta"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--sigma-t", "nan", "sigma_t must be finite"),
+            ("--sigma-r", "inf", "sigma_r must be finite"),
+            ("--lag", "inf", "lag must be finite"),
+            ("--sigma-t", "-0.5", "non-negative"),
+        ],
+    )
+    def test_bad_noise_flag_exits_two(self, flag, value, message, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-scene", "--out", str(bundle), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not bundle.exists()
 
     def test_bad_config_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"

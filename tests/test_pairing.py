@@ -1,4 +1,4 @@
-"""IoU matching, KD-tree exactness, and contrastive pair construction."""
+"""IoU matching, exact KNN, and contrastive pair construction."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,9 @@ from bevalign.pairing import (
     EmptyInputError,
     PairConfig,
     PairSet,
-    build_kd,
     build_pairs,
     iou,
-    knn_negatives,
+    knn,
     positive_pairs,
 )
 
@@ -63,7 +62,11 @@ class TestIou:
     @given(a=boxes, b=boxes)
     @settings(max_examples=50, deadline=None)
     def test_matches_raster_oracle(self, a, b):
-        assert abs(iou(a, b) - iou_raster(a, b)) <= 2e-2
+        # the raster miscounts up to one cell per box edge, so the cell must
+        # be small against the smallest extent (0.01 m alone gives 0.52 for
+        # an exact 0.5 on 1 x 0.5 and 1 x 0.25 m boxes)
+        cell = min(0.01, min(a.w, a.h, b.w, b.h) / 500)
+        assert abs(iou(a, b) - iou_raster(a, b, cell)) <= 2e-2
 
 
 class TestPositivePairs:
@@ -102,45 +105,50 @@ class TestPositivePairs:
             positive_pairs([], [], 1.5)
 
 
-class TestKdIndex:
+class TestKnn:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_kd(np.empty((0, 2)))
+            knn(np.empty((0, 2)), [(0.0, 0.0)], 1)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            build_kd(np.zeros((3, 3)))
+            knn(np.zeros((3, 3)), [(0.0, 0.0)], 1)
+        with pytest.raises(ValueError):
+            knn([(0.0, 0.0)], (0.0, 0.0), 1)
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            knn([(0.0, 0.0), (np.nan, 1.0)], [(0.0, 0.0)], 1)
 
     def test_k_below_one_rejected(self):
-        index = build_kd([(0.0, 0.0)])
         with pytest.raises(ValueError):
-            index.query((0.0, 0.0), 0)
+            knn([(0.0, 0.0)], [(0.0, 0.0)], 0)
 
     def test_k_exceeding_size_returns_all(self):
-        index = build_kd([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-        assert index.query((0.0, 0.0), 10) == [0, 1, 2]
+        got = knn([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)], 10)
+        assert got.tolist() == [[0, 1, 2], [2, 1, 0]]
 
     def test_distance_ties_resolve_to_lower_index(self):
         # four points at identical distance from the origin
         pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-        index = build_kd(pts)
-        assert index.query((0.0, 0.0), 4) == [0, 1, 2, 3]
-        assert index.query((0.0, 0.0), 2) == [0, 1]
+        assert knn(pts, [(0.0, 0.0)], 4).tolist() == [[0, 1, 2, 3]]
+        assert knn(pts, [(0.0, 0.0)], 2).tolist() == [[0, 1]]
 
     def test_duplicate_points_ordered_by_index(self):
         pts = [(2.0, 2.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
-        index = build_kd(pts)
-        assert index.query((1.0, 1.0), 3) == [1, 2, 3]
+        assert knn(pts, [(1.0, 1.0)], 3).tolist() == [[1, 2, 3]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(-50, 50, size=(200, 2))
         pts[100::5] = pts[:20]  # inject exact duplicates
-        index = build_kd(pts)
-        for _ in range(50):
-            q = rng.uniform(-55, 55, size=2)
-            k = int(rng.integers(1, 12))
-            assert index.query(q, k) == knn_brute(pts, q, k)
+        queries = rng.uniform(-55, 55, size=(50, 2))
+        queries[:10] = pts[100:150:5]  # queries on duplicated points
+        for k in (1, 2, 5, 11, 200, 250):
+            got = knn(pts, queries, k)
+            assert got.shape == (50, min(k, 200))
+            for q, row in zip(queries, got.tolist()):
+                assert row == knn_brute(pts, q, k)
 
     @given(
         pts=st.lists(
@@ -148,39 +156,54 @@ class TestKdIndex:
             min_size=1,
             max_size=40,
         ),
-        qx=st.floats(-10, 10, allow_nan=False),
-        qy=st.floats(-10, 10, allow_nan=False),
+        queries=st.lists(
+            st.tuples(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False)),
+            min_size=1,
+            max_size=6,
+        ),
         k=st.integers(1, 8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_property_matches_brute_force(self, pts, qx, qy, k):
-        index = build_kd(pts)
-        assert index.query((qx, qy), k) == knn_brute(np.asarray(pts), (qx, qy), k)
+    def test_property_matches_brute_force(self, pts, queries, k):
+        got = knn(pts, queries, k).tolist()
+        assert got == [knn_brute(np.asarray(pts), q, k) for q in queries]
 
 
 class TestKnnNegatives:
+    """build_pairs' negatives: the camera centers nearest each pair's anchor."""
+
     def setup_method(self):
         self.camera = [Box2D(float(i), 0.0, 1.0, 1.0) for i in range(6)]
-        self.index = build_kd([(b.cx, b.cy) for b in self.camera])
+
+    def negatives(self, lidar, **cfg):
+        return build_pairs(lidar, self.camera, PairConfig(**cfg)).negatives
 
     def test_excludes_paired_camera_index(self):
-        negs = knn_negatives((0, 2), self.camera, self.index, k=3)
+        # the LiDAR box coincides with camera 2 only (its neighbors just touch)
+        (negs,) = self.negatives([Box2D(2.0, 0.0, 1.0, 1.0)], k_negatives=3)
         assert 2 not in negs
-        assert negs == [1, 3, 0]
+        assert negs == (1, 3, 0)
 
     def test_returns_min_k_and_n_minus_one(self):
-        negs = knn_negatives((0, 2), self.camera, self.index, k=50)
+        lidar = [Box2D(2.0, 0.0, 1.0, 1.0)]
+        (negs,) = self.negatives(lidar, k_negatives=50)
         assert len(negs) == len(self.camera) - 1
-        negs = knn_negatives((0, 2), self.camera, self.index, k=2)
+        (negs,) = self.negatives(lidar, k_negatives=2)
         assert len(negs) == 2
 
     def test_explicit_anchor_changes_neighborhood(self):
-        near_right = knn_negatives((0, 0), self.camera, self.index, k=2, anchor=(5.0, 0.0))
-        assert near_right == [5, 4]
+        # one wide LiDAR box covers all six camera boxes with equal IoU 1/11,
+        # so it pairs with camera 0 while its own center sits on camera 5
+        lidar = [Box2D(5.0, 0.0, 11.0, 1.0)]
+        pairs = build_pairs(lidar, self.camera, PairConfig(tau_iou=0.05, k_negatives=2))
+        assert pairs.positives == ((0, 0),)
+        assert pairs.negatives == ((1, 2),)
+        (near_right,) = self.negatives(lidar, tau_iou=0.05, k_negatives=2, anchor="lidar")
+        assert near_right == (5, 4)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            knn_negatives((0, 0), self.camera, self.index, k=0)
+            PairConfig(k_negatives=0)
 
 
 class TestBuildPairs:
@@ -219,11 +242,10 @@ class TestBuildPairs:
         ps_cam = build_pairs(lidar, camera, PairConfig(anchor="camera", k_negatives=2))
         ps_lid = build_pairs(lidar, camera, PairConfig(anchor="lidar", k_negatives=2))
         assert ps_cam.positives == ps_lid.positives
+        centers = np.asarray([(b.cx, b.cy) for b in camera])
         for (i, j), negs in zip(ps_lid.positives, ps_lid.negatives):
-            anchor = (lidar[i].cx, lidar[i].cy)
-            index = build_kd([(b.cx, b.cy) for b in camera])
-            want = knn_negatives((i, j), camera, index, 2, anchor)
-            assert list(negs) == want
+            near = knn_brute(centers, (lidar[i].cx, lidar[i].cy), 3)
+            assert list(negs) == [n for n in near if n != j][:2]
 
     def test_dict_round_trip(self):
         lidar, camera = self.make_boxes(5, jitter=0.3)
