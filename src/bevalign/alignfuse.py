@@ -19,8 +19,8 @@ from .contrastive import ZERO_NORM_EPS, ProjectionHead, ZeroVectorError, cosine_
 from .grid import (
     FeatureMap,
     require_same_meta,
-    save_feature_map,
     world_to_grid,
+    write_bevf,
 )
 from .instance import Proposal, RoiFeature
 from .pairing import PairSet, knn
@@ -216,12 +216,15 @@ class FusedMap:
         }
 
     def save(self, stem: str | Path) -> None:
-        stem = Path(stem)
-        save_feature_map(stem, self.fmap)
-        side = Path(str(stem) + ".json")
-        meta = json.loads(side.read_text())
-        meta["channel_layout"] = self.channel_layout()
-        side.write_text(json.dumps(meta, indent=2, sort_keys=True))
+        """The map as BEVF plus a `<stem>.json` sidecar: save_feature_map's
+        meta and modality, and the channel layout."""
+        write_bevf(stem, self.fmap.data)
+        sidecar = {
+            "meta": self.fmap.meta.to_dict(),
+            "modality": self.fmap.modality,
+            "channel_layout": self.channel_layout(),
+        }
+        Path(str(stem) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 def _footprint(box, meta) -> tuple[int, int, int, int] | None:

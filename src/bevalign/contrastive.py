@@ -293,34 +293,68 @@ def _flatten_pairs(
     return np.asarray(xl, dtype=np.float64), np.concatenate(cam), np.asarray(pos), neg, mask
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """The per-call constants of the batched loss, built once per training
+    run.  Column 0 of idx (P, 1 + K_max) is each pair's positive row in the
+    unique camera embeddings, the rest its negatives; flat_idx holds idx's
+    row * D_e + col offsets for the gradient scatter.  valid marks the
+    logits in the softmax (padding and, unless the positive is in the
+    denominator, column 0 are off) and is None when all of them are;
+    neg_valid marks the real negatives.  scale is the logit scale (None for
+    raw dot products) and grad_scale the d mean / d loss factor scale / P."""
+
+    idx: np.ndarray
+    flat_idx: np.ndarray
+    valid: np.ndarray | None
+    neg_valid: np.ndarray
+    n_pairs: int
+    n_neg: int
+    grad_size: int
+    scale: float | None
+    grad_scale: float
+
+    @classmethod
+    def build(
+        cls, pos: np.ndarray, neg: np.ndarray, mask: np.ndarray, n_u: int, d_e: int, cfg: LossConfig
+    ) -> "_Batch":
+        p = len(pos)
+        idx = np.concatenate([pos[:, None], neg], axis=1)
+        valid = np.concatenate([np.full((p, 1), cfg.include_positive_in_denominator), mask], axis=1)
+        scale = 1.0 / cfg.temperature if cfg.mode == "cosine" else None
+        return cls(
+            idx=idx,
+            flat_idx=(idx[:, :, None] * d_e + np.arange(d_e)).ravel(),
+            valid=None if valid.all() else valid,
+            neg_valid=mask,
+            n_pairs=p,
+            n_neg=int(mask.sum()),
+            grad_size=n_u * d_e,
+            scale=scale,
+            grad_scale=(1.0 if scale is None else scale) / p,
+        )
+
+
 def _pair_eval(
-    el: np.ndarray,
-    eu: np.ndarray,
-    idx: np.ndarray,
-    flat_idx: np.ndarray,
-    valid: np.ndarray,
-    cfg: LossConfig,
+    el: np.ndarray, eu: np.ndarray, batch: _Batch, cfg: LossConfig
 ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """Mean loss and embedding-space gradients over all pairs in one batch.
 
     el holds the lidar embeddings (P, D_e) and eu the unique camera
-    embeddings (N_u, D_e).  Column 0 of idx (P, 1 + K_max) is each pair's
-    positive row in eu, the rest its negatives; valid marks the logits in
-    the softmax (padding and, unless the positive is in the denominator,
-    column 0 are off).  flat_idx holds idx's row * D_e + col offsets for
-    the scatter.  Returns (loss, pos_sim, neg_sim, dEL, dEU)."""
-    p = el.shape[0]
+    embeddings (N_u, D_e).  Returns (loss, pos_sim, neg_sim, dEL, dEU)."""
     if cfg.mode == "cosine":
         na = np.linalg.norm(el, axis=1)[:, None]
         nu = np.linalg.norm(eu, axis=1)[:, None]
         if na.min() < ZERO_NORM_EPS or nu.min() < ZERO_NORM_EPS:
             raise ZeroVectorError("cosine similarity of a zero vector")
-        a, c, scale = el / na, eu / nu, 1.0 / cfg.temperature
+        a, c = el / na, eu / nu
     else:
-        a, c, scale = el, eu, 1.0
-    ec = np.take(c, idx, axis=0)
-    s = scale * np.einsum("pd,pkd->pk", a, ec)
-    logits = np.where(valid, s, -np.inf)
+        a, c = el, eu
+    ec = np.take(c, batch.idx, axis=0)
+    s = np.einsum("pd,pkd->pk", a, ec)
+    if batch.scale is not None:
+        s *= batch.scale
+    logits = s if batch.valid is None else np.where(batch.valid, s, -np.inf)
     m = logits.max(axis=1, keepdims=True)
     ex = np.exp(logits - m)
     total = ex.sum(axis=1, keepdims=True)
@@ -328,18 +362,19 @@ def _pair_eval(
     # d loss / d s: softmax weight, minus one on the positive.
     w = ex / total
     w[:, 0] -= 1.0
-    w *= scale / p
+    w *= batch.grad_scale
     da = np.einsum("pk,pkd->pd", w, ec)
     dc = np.bincount(
-        flat_idx, weights=np.einsum("pk,pd->pkd", w, a).ravel(), minlength=eu.size
+        batch.flat_idx, weights=np.einsum("pk,pd->pkd", w, a).ravel(), minlength=batch.grad_size
     ).reshape(eu.shape)
     if cfg.mode == "cosine":
         da = (da - a * np.einsum("pd,pd->p", a, da)[:, None]) / na
         dc = (dc - c * np.einsum("pd,pd->p", c, dc)[:, None]) / nu
+    # np.add.reduce(x) / n is what ndarray.mean computes, without its overhead
     return (
-        float(losses.mean()),
-        float(s[:, 0].mean()),
-        float((s[:, 1:] * valid[:, 1:]).sum() / valid[:, 1:].sum()),
+        float(np.add.reduce(losses) / batch.n_pairs),
+        float(np.add.reduce(s[:, 0]) / batch.n_pairs),
+        float(np.add.reduce(s[:, 1:] * batch.neg_valid, axis=None) / batch.n_neg),
         da,
         dc,
     )
@@ -353,10 +388,7 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     steps + 1; entry 0 is the loss at the seeded initialization and entry t
     the loss after t updates.  Deterministic for a fixed (scenes, cfg)."""
     xl, xu, pos, neg, mask = _flatten_pairs(scenes)
-    idx = np.concatenate([pos[:, None], neg], axis=1)
-    in_denominator = np.full((len(pos), 1), cfg.loss.include_positive_in_denominator)
-    valid = np.concatenate([in_denominator, mask], axis=1)
-    flat_idx = (idx[:, :, None] * cfg.d_e + np.arange(cfg.d_e)).ravel()
+    batch = _Batch.build(pos, neg, mask, len(xu), cfg.d_e, cfg.loss)
     head_l, head_c = init_heads(xl.shape[1], cfg.d_e, cfg.seed, xu.shape[1])
     wl = head_l.weights.copy()
     wc = head_c.weights.copy()
@@ -369,17 +401,16 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     trace = np.empty(cfg.steps + 1)
     pos_trace = np.empty(cfg.steps + 1)
     neg_trace = np.empty(cfg.steps + 1)
+    xlt, xut, step_size = xl.T, xu.T, cfg.step_size
     for step in range(cfg.steps + 1):
-        loss, pos_sim, neg_sim, del_, deu = _pair_eval(
-            xl @ wl, xu @ wc, idx, flat_idx, valid, cfg.loss
-        )
+        loss, pos_sim, neg_sim, del_, deu = _pair_eval(xl @ wl, xu @ wc, batch, cfg.loss)
         trace[step] = loss
         pos_trace[step] = pos_sim
         neg_trace[step] = neg_sim
         if step == cfg.steps:
             break
-        wl = wl - cfg.step_size * (xl.T @ del_)
-        wc = wc - cfg.step_size * (xu.T @ deu)
+        wl -= step_size * (xlt @ del_)
+        wc -= step_size * (xut @ deu)
 
     return TrainResult(
         head_lidar=ProjectionHead(wl),
@@ -395,10 +426,9 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
 
 def write_loss_trace_csv(path: str | Path, result: TrainResult) -> None:
     """CSV trace: step, mean_loss, mean_pos_sim, mean_neg_sim."""
+    rows = zip(
+        result.loss_trace.tolist(), result.pos_sim_trace.tolist(), result.neg_sim_trace.tolist()
+    )
+    lines = [f"{step},{loss!r},{pos!r},{neg!r}\n" for step, (loss, pos, neg) in enumerate(rows)]
     with open(path, "w") as f:
-        f.write("step,mean_loss,mean_pos_sim,mean_neg_sim\n")
-        for step in range(result.loss_trace.shape[0]):
-            f.write(
-                f"{step},{float(result.loss_trace[step])!r},"
-                f"{float(result.pos_sim_trace[step])!r},{float(result.neg_sim_trace[step])!r}\n"
-            )
+        f.write("step,mean_loss,mean_pos_sim,mean_neg_sim\n" + "".join(lines))

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +134,10 @@ class ExperimentConfig:
 
 
 def _build_section(fld: str, ctor, kwargs: dict):
+    for f in fields(ctor):
+        # annotations are strings under `from __future__ import annotations`
+        if f.type in (int, "int") and f.name in kwargs:
+            _require_int(f"{fld}.{f.name}", kwargs[f.name])
     try:
         return ctor(**kwargs)
     except TypeError as e:
@@ -206,11 +210,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _int_field(raw: dict, key: str, default: int) -> int:
-    # JSON true/false parse as bool, a subclass of int
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"must be an integer, got {value!r}")
+    _require_int(key, value)
     return value
+
+
+def _require_int(fld: str, value) -> None:
+    # JSON true/false parse as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(fld, f"must be an integer, got {value!r}")
 
 
 def _listfix(section: dict, key: str) -> dict:

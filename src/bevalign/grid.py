@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,32 +247,39 @@ def require_same_meta(a: FeatureMap, b: FeatureMap) -> None:
 # ----------------------------
 
 def write_bevf(path: str | Path, array: np.ndarray) -> None:
-    """Write a raw (H, W, C) float32 array in the BEVF container."""
-    arr = np.asarray(array, dtype=np.float32)
+    """Write a raw (H, W, C) float32 array in the BEVF container.
+
+    A C-contiguous float32 array is written from its own buffer, uncopied."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ValueError(f"expected (H, W, C) array, got shape {arr.shape}")
     h, w, c = arr.shape
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", h, w, c))
-        f.write(arr.astype("<f4").tobytes(order="C"))
+        f.write(MAGIC + struct.pack("<III", h, w, c))
+        f.write(arr)
 
 
 def read_bevf(path: str | Path) -> np.ndarray:
-    """Read a BEVF container back into an (H, W, C) float32 array."""
+    """Read a BEVF container back into an (H, W, C) float32 array.
+
+    The payload is read straight into the returned array, and its size is
+    checked against the header before anything is allocated."""
     with open(path, "rb") as f:
         header = f.read(HEADER_SIZE)
         if len(header) != HEADER_SIZE or header[:4] != MAGIC:
             raise ValueError(f"{path}: not a BEVF container")
         h, w, c = struct.unpack("<III", header[4:])
-        payload = f.read()
-    expected = h * w * c * 4
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
-    return arr.astype(np.float32)
+        expected = h * w * c * 4
+        payload = os.fstat(f.fileno()).st_size - HEADER_SIZE
+        if payload == expected:
+            arr = np.empty((h, w, c), dtype="<f4")
+            payload = f.readinto(arr)
+    if payload != expected:
+        raise ValueError(f"{path}: payload is {payload} bytes, expected {expected}")
+    # a no-op on little-endian hosts
+    return arr.astype(np.float32, copy=False)
 
 
 def save_feature_map(path: str | Path, fmap: FeatureMap) -> None:

@@ -371,3 +371,26 @@ class TestFuse:
         loaded = load_feature_map(stem)
         assert np.array_equal(loaded.data, fused.fmap.data)
         assert loaded.meta == meta
+
+    def test_sidecar_text_is_pinned(self, tmp_path):
+        """Sorted keys, two-space indent, no trailing newline."""
+        meta, lidar_map, camera_map = make_maps(seed=4)
+        fused = fuse(lidar_map, camera_map, AlignmentResult(()), [], [])
+        fused.save(tmp_path / "fused.bevf")
+        assert (tmp_path / "fused.bevf.json").read_text() == (
+            "{\n"
+            '  "channel_layout": {\n'
+            '    "camera": [\n      2,\n      4\n    ],\n'
+            '    "instance": [\n      4,\n      6\n    ],\n'
+            '    "lidar": [\n      0,\n      2\n    ]\n'
+            "  },\n"
+            '  "meta": {\n'
+            '    "resolution": 1.0,\n'
+            '    "x_max": 8.0,\n'
+            '    "x_min": 0.0,\n'
+            '    "y_max": 8.0,\n'
+            '    "y_min": 0.0\n'
+            "  },\n"
+            '  "modality": "fused"\n'
+            "}"
+        )

@@ -145,6 +145,27 @@ class TestRunCommand:
         assert "integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "steps", 2.5),
+            ("train", "d_e", True),
+            ("train", "seed", "0"),
+            ("instance", "kernel", 3.5),
+            ("pairing", "k_negatives", 2.0),
+            ("align", "k_neighbors", None),
+            ("scene", "n_objects", 4.0),
+        ],
+    )
+    def test_non_integer_section_knob_names_the_field(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CFG, section: {**TINY_CFG.get(section, {}), key: value}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{section}.{key}'" in err
+        assert "integer" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("axis", ["sigma_t", "sigma_r", "lag"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_noise_value_names_the_field(self, axis, value, tmp_path, capsys):

@@ -1,0 +1,108 @@
+"""Golden bytes: `bevalign align` outputs and `train_heads` results are pinned
+by sha256, so a change that claims identical outputs has to produce the
+same bytes on this platform's numpy, not merely close floats."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from bevalign.cli import main
+from bevalign.contrastive import LossConfig, ScenePairs, TrainConfig, train_heads
+from bevalign.pairing import PairSet
+
+ALIGN_OUTPUTS = ("alignment.json", "loss_trace.csv", "fused", "fused.json")
+
+# sha256 of each output of `align` on the `gen-scene --seed 5 --sigma-t 0.25`
+# bundle, first 16 hex digits; "default" runs with no config, "canonical"
+# with the positive in the softmax denominator.
+ALIGN_DIGESTS = {
+    "default": {
+        "alignment.json": "18649ae3aef44b41",
+        "loss_trace.csv": "88ee55a146da9acb",
+        "fused": "3a33628c0ba1053b",
+        "fused.json": "070a5167802475ce",
+    },
+    "canonical": {
+        "alignment.json": "aaca81838881d93d",
+        "loss_trace.csv": "d07c417c489cb399",
+        "fused": "9a37015b7fad531a",
+        "fused.json": "070a5167802475ce",
+    },
+}
+
+# sha256 over the three traces and both heads' weights, first 16 hex digits,
+# keyed by (mode, include_positive_in_denominator, ragged).
+TRAIN_DIGESTS = {
+    ("dot", False, False): "23cdd07e35be3748",
+    ("dot", False, True): "03f3ee0ac4da0ef6",
+    ("dot", True, False): "66531aceee531025",
+    ("dot", True, True): "670197fc9de19b04",
+    ("cosine", False, False): "ca2532dcfb6f6b0d",
+    ("cosine", False, True): "66d277cf947bfbb8",
+    ("cosine", True, False): "c74b0ad037d8deda",
+    ("cosine", True, True): "13f2a78ee86a3d66",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(ALIGN_DIGESTS))
+def test_align_outputs_are_pinned(name, tmp_path, capsys):
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    args = ["align", "--bundle", str(bundle), "--out", str(out)]
+    if name == "canonical":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": {"include_positive_in_denominator": True}}))
+        args += ["--config", str(cfg)]
+    assert main(["gen-scene", "--out", str(bundle), "--seed", "5", "--sigma-t", "0.25"]) == 0
+    assert main(args) == 0, capsys.readouterr().err
+    digests = {f: _sha((out / f).read_bytes()) for f in ALIGN_OUTPUTS}
+    assert digests == ALIGN_DIGESTS[name]
+
+
+def _training_material(ragged: bool) -> list[ScenePairs]:
+    """Two scenes with 6 lidar and 5 camera channels.  Camera row 0 is a
+    negative of every pair but the one whose positive it is, so its gradient
+    sums over several pairs; with ragged=True pair i has 1 + i % 3 negatives
+    instead of 3."""
+    rng = np.random.default_rng(11)
+    scenes = []
+    for n in (7, 5):
+        positives = tuple((i, (i + 1) % n) for i in range(n))
+        negatives = []
+        for i, (_, j) in enumerate(positives):
+            others = [b for b in range(n) if b not in (0, j)]
+            k = 1 + i % 3 if ragged else 3
+            negatives.append((0, *others[i % 2 : i % 2 + k - 1]) if j != 0 else tuple(others[:k]))
+        pairs = PairSet(0.1, 3, positives, tuple(negatives))
+        scenes.append(ScenePairs(rng.standard_normal((n, 6)), rng.standard_normal((n, 5)), pairs))
+    return scenes
+
+
+TRAIN_CASES = [
+    (mode, positive, ragged)
+    for mode in ("dot", "cosine")
+    for positive in (False, True)
+    for ragged in (False, True)
+]
+
+
+@pytest.mark.parametrize("mode,positive,ragged", TRAIN_CASES)
+def test_train_heads_results_are_pinned(mode, positive, ragged):
+    loss = LossConfig(mode=mode, include_positive_in_denominator=positive)
+    cfg = TrainConfig(steps=40, step_size=0.05, d_e=4, seed=3, loss=loss)
+    result = train_heads(_training_material(ragged), cfg)
+    h = hashlib.sha256()
+    for arr in (
+        result.loss_trace,
+        result.pos_sim_trace,
+        result.neg_sim_trace,
+        result.head_lidar.weights,
+        result.head_camera.weights,
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest()[:16] == TRAIN_DIGESTS[(mode, positive, ragged)]

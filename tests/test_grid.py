@@ -2,14 +2,17 @@
 
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bevalign.grid import (
+    MAGIC,
     FeatureMap,
     GridMeta,
     MetaMismatchError,
@@ -33,6 +36,28 @@ from bevalign.oracles import apply_transform_mp, bilinear_oracle, world_to_grid_
 
 coords = st.floats(-54.0, 54.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False)
+
+# signed zeros, float32 subnormals and infinities; float64 inputs also get
+# a float64 subnormal, which rounds to zero in float32
+SPECIAL_VALUES = [-0.0, 0.0, 2.0**-149, -(2.0**-130), math.inf, -math.inf]
+
+
+@st.composite
+def bevf_inputs(draw):
+    """Small 2-D or 3-D float32/float64 arrays, C-ordered, Fortran-ordered or
+    strided views."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    special = SPECIAL_VALUES + ([] if width == 32 else [1e-310])
+    elements = st.one_of(st.floats(-(2.0**127), 2.0**127, width=width), st.sampled_from(special))
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5))
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "fortran":
+        return np.asfortranarray(arr)
+    if layout == "strided":
+        return np.repeat(arr, 2, axis=1)[:, ::2]
+    return arr
 
 
 def small_map(h=4, w=5, c=2, seed=0):
@@ -318,6 +343,54 @@ class TestBevfContainer:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match="payload"):
             read_bevf(path)
+
+    def test_over_long_payload_rejected(self, tmp_path):
+        path = tmp_path / "map.bevf"
+        write_bevf(path, np.zeros((2, 2, 2), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match=r"map\.bevf: payload is 36 bytes, expected 32"):
+            read_bevf(path)
+
+    @given(arr=bevf_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_match_the_reference_encoding(self, arr, tmp_path_factory):
+        """The file is the header plus the C-order little-endian float32 bytes
+        of the input, whatever its dtype, rank or memory layout; reading it
+        back gives a bit-equal, owned, writable array."""
+        path = tmp_path_factory.mktemp("bevf") / "map.bevf"
+        write_bevf(path, arr)
+        want = (arr if arr.ndim == 3 else arr[:, :, None]).astype("<f4")
+        assert path.read_bytes() == MAGIC + struct.pack("<III", *want.shape) + want.tobytes()
+        back = read_bevf(path)
+        assert back.dtype == np.float32 and back.shape == want.shape
+        assert back.flags.c_contiguous and back.flags.owndata and back.flags.writeable
+        assert np.array_equal(back.view(np.uint32), want.view(np.uint32))
+
+    def test_write_does_not_copy_the_map(self, tmp_path):
+        """A C-contiguous float32 map is written from its own buffer."""
+        arr = np.random.default_rng(0).standard_normal((144, 144, 96)).astype(np.float32)
+        path = tmp_path / "map.bevf"
+        write_bevf(path, arr)
+        tracemalloc.start()
+        try:
+            write_bevf(path, arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * arr.nbytes
+
+    def test_read_allocates_one_payload(self, tmp_path):
+        arr = np.random.default_rng(0).standard_normal((144, 144, 96)).astype(np.float32)
+        path = tmp_path / "map.bevf"
+        write_bevf(path, arr)
+        read_bevf(path)
+        tracemalloc.start()
+        try:
+            read_bevf(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.01 * arr.nbytes
 
     def test_feature_map_save_load(self, tmp_path):
         fmap = small_map(seed=9)
