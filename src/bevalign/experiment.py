@@ -10,15 +10,14 @@ renders; noise is applied to evaluation scenes only.
 Determinism: (config, base_seed) fixes every byte of metrics.csv.  Scene
 seeds derive from hash64(base_seed, index); per-scene noise draws come from
 hash64(scene_seed, 9001) so a scene's perturbation does not depend on grid
-position or thread timing.  Aggregation reduces in scene-index order.
+position.  Scenes run one at a time in scene-index order, and aggregation
+reduces in that order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -238,18 +237,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def thread_cap() -> int:
-    """Worker count from BEVALIGN_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("BEVALIGN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
-
-
 @dataclass(frozen=True)
 class ScenePipeline:
     """One scene's extracted material, ready for alignment and scoring."""
@@ -394,17 +381,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     if eval_on_train:
         eval_idx = train_idx
 
-    workers = thread_cap()
-
-    # Each worker keeps one scene at a time: the train pipelines are reduced
-    # to their pair material, and each eval scene is generated once and
-    # swept over the whole noise grid, so no split's feature maps are all
-    # alive at once.
+    # One scene is alive at a time: the train pipelines are reduced to their
+    # pair material, and each eval scene is generated once and swept over the
+    # whole noise grid, so no split's feature maps are all alive at once.
     def train_material(i: int) -> ScenePairs | None:
         return scene_pairs_for_training(run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        material = [sp for sp in pool.map(train_material, train_idx) if sp]
+    material = [sp for sp in map(train_material, train_idx) if sp]
     result = train_heads(material, cfg.train)
 
     heads = {
@@ -422,8 +405,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
             for spec in cfg.noise_grid
         ]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_scene = list(pool.map(eval_one, eval_idx))
+    per_scene = [eval_one(i) for i in eval_idx]
     noise_points: list[dict] = []
     for k, spec in enumerate(cfg.noise_grid):
         point = {"noise": spec.to_dict(), "variants": {}}

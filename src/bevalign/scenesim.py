@@ -12,7 +12,8 @@ Rendering
     Object centers are snapped to lattice nodes at generation time.
     Feature maps are sum-composed Gaussian bumps (weight exactly 1 at the
     center cell, truncated at 4 sigma); heatmaps are max-composed unit-peak
-    bumps, so every rendered center is a strict local maximum.
+    bumps, so every rendered center is a strict local maximum.  Only the
+    cells inside some bump window are computed.
 
 Noise
     Spatial miscalibration is ONE rigid planar transform per scene applied
@@ -278,7 +279,7 @@ def _place_centers(
     y_lo, y_hi = meta.y_min + cfg.margin, meta.y_max - cfg.margin
     placed: list[tuple[tuple[float, float], tuple[float, float, float]]] = []
 
-    def try_place(propose) -> None:
+    def try_place(propose) -> bool:
         for _ in range(cfg.max_attempts):
             center = _snap_to_lattice(propose(), meta)
             if not (x_lo <= center[0] <= x_hi and y_lo <= center[1] <= y_hi):
@@ -286,14 +287,15 @@ def _place_centers(
             dims = _draw_dims(rng, cfg)
             if _boxes_clear(center, dims, placed, cfg.min_separation):
                 placed.append((center, dims))
-                return
-        raise PlacementFailureError(
-            f"could not place object {len(placed)} after {cfg.max_attempts} attempts"
-        )
+                return True
+        return False
 
     if cfg.layout == "uniform":
         for _ in range(cfg.n_objects):
-            try_place(lambda: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)))
+            if not try_place(lambda: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))):
+                raise PlacementFailureError(
+                    f"could not place object {len(placed)} after {cfg.max_attempts} attempts"
+                )
         return placed
 
     anchors: list[tuple[float, float]] = []
@@ -321,7 +323,9 @@ def _place_centers(
             return (anchor[0] + radius * np.cos(angle), anchor[1] + radius * np.sin(angle))
 
         for _ in range(size):
-            try_place(near_anchor)
+            if not try_place(near_anchor):
+                # the cluster is full; the objects left start a new one
+                break
     return placed
 
 
@@ -333,17 +337,30 @@ def _render_features(
     truncation: float,
     modality: str,
 ) -> FeatureMap:
-    """Sum-composed Gaussian bumps carrying each object's feature vector."""
+    """Sum-composed Gaussian bumps carrying each object's feature vector.
+
+    Only the cells inside some bump window are summed, in float64 and in
+    object order, then rounded once into the float32 map: the bytes of a
+    dense float64 render without its full-size buffer."""
     h, w, c = meta.height, meta.width, features.shape[1]
-    out = np.zeros((h, w, c), dtype=np.float64)
+    out = np.zeros((h, w, c), dtype=np.float32)
+    cells, values = [], []
     for center, f in zip(centers, features):
         weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
         if weights is None:
             continue
-        out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1]] += (
-            weights[:, :, None] * f[None, None, :]
-        )
-    return FeatureMap(meta=meta, data=out.astype(np.float32), modality=modality)
+        rows = np.arange(r0, r0 + weights.shape[0])
+        cols = np.arange(c0, c0 + weights.shape[1])
+        cells.append((rows[:, None] * w + cols[None, :]).ravel())
+        values.append((weights[:, :, None] * f[None, None, :]).reshape(-1, c))
+    if cells:
+        # np.add.at applies repeated indices one after another, so each
+        # cell accumulates its bumps in object order
+        flat, inverse = np.unique(np.concatenate(cells), return_inverse=True)
+        sums = np.zeros((flat.size, c))
+        np.add.at(sums, inverse, np.concatenate(values))
+        out.reshape(-1, c)[flat] = sums
+    return FeatureMap(meta=meta, data=out, modality=modality)
 
 
 def _render_heat(
@@ -353,15 +370,18 @@ def _render_heat(
     truncation: float,
     modality: str,
 ) -> FeatureMap:
-    """Max-composed unit-peak bumps: one strict local maximum per center."""
-    out = np.zeros((meta.height, meta.width, 1), dtype=np.float64)
+    """Max-composed unit-peak bumps: one strict local maximum per center.
+
+    Rounding to float32 is monotone, so the max of rounded weights equals
+    the rounded max of the float64 weights."""
+    out = np.zeros((meta.height, meta.width, 1), dtype=np.float32)
     for center in centers:
         weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
         if weights is None:
             continue
         view = out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1], 0]
-        np.maximum(view, weights, out=view)
-    return FeatureMap(meta=meta, data=out.astype(np.float32), modality=modality)
+        np.maximum(view, weights.astype(np.float32), out=view)
+    return FeatureMap(meta=meta, data=out, modality=modality)
 
 
 def _bump_weights(
@@ -385,22 +405,15 @@ def _bump_weights(
     return weights, r0, c0
 
 
-def _render_scene_maps(
-    cfg: SceneConfig,
-    lidar_centers: list[tuple[float, float]],
-    camera_centers: list[tuple[float, float]],
-    lidar_features: np.ndarray,
-    camera_features: np.ndarray,
-) -> tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]:
-    lf = _render_features(
-        cfg.meta, lidar_centers, lidar_features, cfg.bump_sigma_feat, cfg.truncation, "lidar"
+def _render_maps(
+    cfg: SceneConfig, centers: list[tuple[float, float]], features: np.ndarray, modality: str
+) -> tuple[FeatureMap, FeatureMap]:
+    """One modality's feature map and heatmap."""
+    feat = _render_features(
+        cfg.meta, centers, features, cfg.bump_sigma_feat, cfg.truncation, modality
     )
-    lh = _render_heat(cfg.meta, lidar_centers, cfg.bump_sigma_heat, cfg.truncation, "lidar")
-    cf = _render_features(
-        cfg.meta, camera_centers, camera_features, cfg.bump_sigma_feat, cfg.truncation, "camera"
-    )
-    ch = _render_heat(cfg.meta, camera_centers, cfg.bump_sigma_heat, cfg.truncation, "camera")
-    return lf, lh, cf, ch
+    heat = _render_heat(cfg.meta, centers, cfg.bump_sigma_heat, cfg.truncation, modality)
+    return feat, heat
 
 
 def gen_scene(cfg: SceneConfig, seed: int) -> Scene:
@@ -441,7 +454,8 @@ def gen_scene(cfg: SceneConfig, seed: int) -> Scene:
         )
 
     centers = [o.center for o in objects]
-    lf, lh, cf, ch = _render_scene_maps(cfg, centers, centers, lidar_features, camera_features)
+    lf, lh = _render_maps(cfg, centers, lidar_features, "lidar")
+    cf, ch = _render_maps(cfg, centers, camera_features, "camera")
     lidar_features.flags.writeable = False
     camera_features.flags.writeable = False
     return Scene(
@@ -474,18 +488,7 @@ def _camera_centers_from_state(scene: Scene, noise: AppliedNoise) -> list[tuple[
 
 def _with_noise(scene: Scene, noise: AppliedNoise) -> Scene:
     camera_centers = _camera_centers_from_state(scene, noise)
-    cfg = scene.config
-    cf = _render_features(
-        cfg.meta,
-        camera_centers,
-        scene.camera_features,
-        cfg.bump_sigma_feat,
-        cfg.truncation,
-        "camera",
-    )
-    ch = _render_heat(
-        cfg.meta, camera_centers, cfg.bump_sigma_heat, cfg.truncation, "camera"
-    )
+    cf, ch = _render_maps(scene.config, camera_centers, scene.camera_features, "camera")
     return replace(
         scene,
         camera_feat=cf,
@@ -577,17 +580,18 @@ def assign_proposals(
     order (ties -> lower index) claim their nearest unclaimed object within
     radius_scale * the object's box diagonal.  Returns proposal -> object."""
     order = sorted(range(len(centers)), key=lambda i: (-scores[i], i))
+    gates = [radius_scale * obj.diagonal for obj in objects]
     claimed: set[int] = set()
     out: dict[int, int] = {}
     for pi in order:
         px, py = centers[pi]
         best_obj, best_d = None, np.inf
-        for oi, obj in enumerate(objects):
+        for oi, gate in enumerate(gates):
             if oi in claimed:
                 continue
             ox, oy = object_centers[oi]
             d = float(np.hypot(px - ox, py - oy))
-            if d <= radius_scale * obj.diagonal and d < best_d:
+            if d <= gate and d < best_d:
                 best_obj, best_d = oi, d
         if best_obj is not None:
             claimed.add(best_obj)

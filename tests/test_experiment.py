@@ -21,7 +21,6 @@ from bevalign.experiment import (
     parse_config,
     run_experiment,
     run_scene_pipeline,
-    thread_cap,
     write_outputs,
 )
 from bevalign.scenesim import NoiseSpec, SceneConfig, gen_scene
@@ -127,23 +126,6 @@ class TestLoadConfig:
         assert e.value.field.startswith("<line 1, col ")
 
 
-class TestThreadCap:
-    def test_unset_and_zero_mean_auto(self, monkeypatch):
-        monkeypatch.delenv("BEVALIGN_THREADS", raising=False)
-        auto = thread_cap()
-        assert 1 <= auto <= 8
-        monkeypatch.setenv("BEVALIGN_THREADS", "0")
-        assert thread_cap() == auto
-
-    def test_garbage_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("BEVALIGN_THREADS", "many")
-        assert 1 <= thread_cap() <= 8
-
-    def test_positive_value_is_honored(self, monkeypatch):
-        monkeypatch.setenv("BEVALIGN_THREADS", "3")
-        assert thread_cap() == 3
-
-
 class TestMeanPairLoss:
     def test_zero_when_scene_has_no_pairs(self):
         scene = gen_scene(TINY_SCENE, 1)
@@ -207,16 +189,9 @@ class TestRunExperiment:
         report2, _ = run_experiment(TINY)
         assert metrics_csv(report2) == metrics_csv(report)
 
-    def test_single_thread_run_matches(self, tiny_run, monkeypatch):
-        report, _ = tiny_run
-        monkeypatch.setenv("BEVALIGN_THREADS", "1")
-        report1, _ = run_experiment(TINY)
-        assert metrics_csv(report1) == metrics_csv(report)
-
     def test_each_scene_is_released_before_the_next_is_made(self, monkeypatch):
-        # With one worker no clean scene outlives its own pipeline, so the
-        # run's memory does not grow with n_scenes.
-        monkeypatch.setenv("BEVALIGN_THREADS", "1")
+        # No clean scene outlives its own pipeline, so the run's memory does
+        # not grow with n_scenes.
         made: list[weakref.ref] = []
         alive_at_call: list[int] = []
 

@@ -1,6 +1,7 @@
-"""Golden bytes: `bevalign align` outputs and `train_heads` results are pinned
-by sha256, so a change that claims identical outputs has to produce the
-same bytes on this platform's numpy, not merely close floats."""
+"""Golden bytes: rendered scene maps, `bevalign align` outputs and
+`train_heads` results are pinned by sha256, so a change that claims
+identical outputs has to produce the same bytes on this platform's numpy,
+not merely close floats."""
 
 import hashlib
 import json
@@ -11,6 +12,13 @@ import pytest
 from bevalign.cli import main
 from bevalign.contrastive import LossConfig, ScenePairs, TrainConfig, train_heads
 from bevalign.pairing import PairSet
+from bevalign.scenesim import (
+    SceneConfig,
+    apply_spatial_noise,
+    apply_temporal_noise,
+    gen_scene,
+    hash64,
+)
 
 ALIGN_OUTPUTS = ("alignment.json", "loss_trace.csv", "fused", "fused.json")
 
@@ -48,6 +56,35 @@ TRAIN_DIGESTS = {
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+# sha256 of each map's float32 bytes, first 16 hex digits: the four maps of
+# the default-config scene with seed 5, and its camera maps after spatial
+# noise (sigma_t 0.5 m, sigma_r 1 deg, drawn from hash64(5, 9001)) then a
+# 0.5 s lag.
+SCENE_DIGESTS = {
+    "lidar_feat": "02e197b8a5aa3f42",
+    "lidar_heat": "c05964146f2c9875",
+    "camera_feat": "24926752fab8029a",
+    "camera_heat": "c05964146f2c9875",
+    "noisy_camera_feat": "c47dff1a70b84b3e",
+    "noisy_camera_heat": "f3f64ea934413152",
+}
+
+
+def test_scene_maps_are_pinned():
+    scene = gen_scene(SceneConfig(), 5)
+    rng = np.random.default_rng(hash64(5, 9001))
+    noisy = apply_temporal_noise(apply_spatial_noise(scene, 0.5, np.deg2rad(1.0), rng), 0.5)
+    maps = {
+        "lidar_feat": scene.lidar_feat,
+        "lidar_heat": scene.lidar_heat,
+        "camera_feat": scene.camera_feat,
+        "camera_heat": scene.camera_heat,
+        "noisy_camera_feat": noisy.camera_feat,
+        "noisy_camera_heat": noisy.camera_heat,
+    }
+    assert {k: _sha(m.data.tobytes()) for k, m in maps.items()} == SCENE_DIGESTS
 
 
 @pytest.mark.parametrize("name", sorted(ALIGN_DIGESTS))

@@ -1,12 +1,16 @@
 """Synthetic scene generation, calibration/lag noise, and alignment metrics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bevalign.alignfuse import AlignEntry, AlignmentResult, PipelineOutput
-from bevalign.grid import PlanarTransform, world_to_grid
+from bevalign.grid import FeatureMap, GridMeta, PlanarTransform, world_to_grid
 from bevalign.instance import Proposal
 from bevalign.oracles import knn_brute
 from bevalign.scenesim import (
@@ -18,6 +22,9 @@ from bevalign.scenesim import (
     Scene,
     SceneConfig,
     SceneObject,
+    _bump_weights,
+    _render_features,
+    _render_heat,
     apply_spatial_noise,
     apply_temporal_noise,
     assign_proposals,
@@ -130,24 +137,36 @@ class TestGenScene:
             assert tuple(row["camera_center"]) == scene.camera_centers[i]
 
 
+def assert_placement_invariants(cfg, scene):
+    meta = cfg.meta
+    objs = scene.objects
+    for o in objs:
+        assert meta.x_min + cfg.margin <= o.center[0] <= meta.x_max - cfg.margin
+        assert meta.y_min + cfg.margin <= o.center[1] <= meta.y_max - cfg.margin
+    for i in range(len(objs)):
+        for j in range(i + 1, len(objs)):
+            dx = objs[i].center[0] - objs[j].center[0]
+            dy = objs[i].center[1] - objs[j].center[1]
+            assert np.hypot(dx, dy) >= cfg.min_separation - 1e-12
+            half_w = (objs[i].dims[0] + objs[j].dims[0]) / 2.0
+            half_h = (objs[i].dims[1] + objs[j].dims[1]) / 2.0
+            assert abs(dx) >= half_w or abs(dy) >= half_h
+
+
 class TestPlacement:
     def test_separation_overlap_and_margin_invariants(self):
         cfg = SceneConfig(n_objects=10, d_z=4, c_lidar=6, c_camera=6)
-        meta = cfg.meta
         for seed in (0, 1, 2):
-            scene = gen_scene(cfg, seed)
-            objs = scene.objects
-            for o in objs:
-                assert meta.x_min + cfg.margin <= o.center[0] <= meta.x_max - cfg.margin
-                assert meta.y_min + cfg.margin <= o.center[1] <= meta.y_max - cfg.margin
-            for i in range(len(objs)):
-                for j in range(i + 1, len(objs)):
-                    dx = objs[i].center[0] - objs[j].center[0]
-                    dy = objs[i].center[1] - objs[j].center[1]
-                    assert np.hypot(dx, dy) >= cfg.min_separation - 1e-12
-                    half_w = (objs[i].dims[0] + objs[j].dims[0]) / 2.0
-                    half_h = (objs[i].dims[1] + objs[j].dims[1]) / 2.0
-                    assert abs(dx) >= half_w or abs(dy) >= half_h
+            assert_placement_invariants(cfg, gen_scene(cfg, seed))
+
+    @pytest.mark.parametrize("base_seed,index", [(102, 47), (151, 96), (159, 27), (195, 77)])
+    def test_a_full_cluster_hands_its_objects_to_a_new_one(self, base_seed, index):
+        """Scenes of the default config where a cluster member finds no room
+        within max_attempts: the rest go to fresh clusters."""
+        cfg = SceneConfig()
+        scene = gen_scene(cfg, hash64(base_seed, index))
+        assert scene.n_objects == cfg.n_objects == 10
+        assert_placement_invariants(cfg, scene)
 
     def test_clustered_layout_produces_close_neighbors(self):
         cfg = SceneConfig(n_objects=10, d_z=4, c_lidar=6, c_camera=6)
@@ -191,6 +210,107 @@ class TestPlacement:
             SceneObject(0, "vehicle", (0.0, 0.0), (1.0, 0.0, 1.0), 0.0, (0.0, 0.0), np.ones(2))
         with pytest.raises(ValueError):
             SceneObject(0, "vehicle", (0.0, 0.0), (1.0, 1.0, 1.0), 0.0, (0.0, 0.0), np.array([np.nan]))
+
+
+def render_features_dense(meta, centers, features, sigma, truncation, modality):
+    """Reference: sum every bump into a full-size float64 map, then cast."""
+    h, w, c = meta.height, meta.width, features.shape[1]
+    out = np.zeros((h, w, c), dtype=np.float64)
+    for center, f in zip(centers, features):
+        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
+        if weights is None:
+            continue
+        out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1]] += (
+            weights[:, :, None] * f[None, None, :]
+        )
+    return FeatureMap(meta=meta, data=out.astype(np.float32), modality=modality)
+
+
+def render_heat_dense(meta, centers, sigma, truncation, modality):
+    """Reference: max-compose every bump in a full-size float64 map, then cast."""
+    out = np.zeros((meta.height, meta.width, 1), dtype=np.float64)
+    for center in centers:
+        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
+        if weights is None:
+            continue
+        view = out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1], 0]
+        np.maximum(view, weights, out=view)
+    return FeatureMap(meta=meta, data=out.astype(np.float32), modality=modality)
+
+
+@st.composite
+def render_cases(draw):
+    """Tiny grids with centres on and off the lattice, inside and outside
+    the grid, repeated centres (three or more bumps on one cell), and
+    feature vectors of either sign, -0.0 included, with C >= 1."""
+    res = draw(st.sampled_from((0.5, 0.75, 1.0)))
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    meta = GridMeta(-1.0, -1.0 + w * res, 2.0, 2.0 + h * res, res)
+    x = st.one_of(
+        st.floats(meta.x_min - 4.0, meta.x_max + 4.0, allow_nan=False),
+        st.integers(-3, w + 3).map(lambda k: meta.x_min + k * res),
+    )
+    y = st.one_of(
+        st.floats(meta.y_min - 4.0, meta.y_max + 4.0, allow_nan=False),
+        st.integers(-3, h + 3).map(lambda k: meta.y_min + k * res),
+    )
+    distinct = draw(st.lists(st.tuples(x, y), min_size=1, max_size=6))
+    centers = draw(st.lists(st.sampled_from(distinct), min_size=0, max_size=9))
+    c = draw(st.integers(1, 4))
+    # large magnitudes cancel, so a float64 sum taken in another order can
+    # round to a different float32
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from((1e20, -1e20, 3e-8)))
+    features = draw(hnp.arrays(np.float64, (len(centers), c), elements=values))
+    sigma = draw(st.floats(0.2, 1.5))
+    truncation = draw(st.floats(0.5, 4.0))
+    return meta, centers, features, sigma, truncation
+
+
+class TestRendering:
+    @given(case=render_cases())
+    @example(
+        # three bumps on one cell: in object order it holds 1.0, in reverse 0.0
+        case=(
+            GridMeta(0.0, 3.0, 0.0, 3.0, 1.0),
+            [(1.0, 1.0)] * 3,
+            np.array([[1e20], [-1e20], [1.0]]),
+            0.5,
+            2.0,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_local_render_matches_dense_float64_bitwise(self, case):
+        meta, centers, features, sigma, truncation = case
+        got = _render_features(meta, centers, features, sigma, truncation, "lidar")
+        want = render_features_dense(meta, centers, features, sigma, truncation, "lidar")
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        got = _render_heat(meta, centers, sigma, truncation, "camera")
+        want = render_heat_dense(meta, centers, sigma, truncation, "camera")
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["features", "heat"])
+    def test_rendering_allocates_about_one_float32_map(self, kind):
+        cfg = SceneConfig()
+        scene = gen_scene(cfg, 3)
+        centers = [o.center for o in scene.objects]
+
+        def render():
+            if kind == "features":
+                return _render_features(
+                    cfg.meta, centers, scene.lidar_features, cfg.bump_sigma_feat,
+                    cfg.truncation, "lidar",
+                )
+            return _render_heat(cfg.meta, centers, cfg.bump_sigma_heat, cfg.truncation, "lidar")
+
+        render()
+        tracemalloc.start()
+        try:
+            fmap = render()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fmap.data.nbytes
 
 
 class TestSpatialNoise:
@@ -317,6 +437,28 @@ def obj_at(idx, x, y, dims=(2.0, 2.0, 2.0)):
     return SceneObject(idx, "vehicle", (x, y), dims, 0.0, (0.0, 0.0), np.zeros(2))
 
 
+def assign_proposals_loop(centers, scores, objects, object_centers, radius_scale=1.5):
+    """Reference: the greedy matcher with each object's gate recomputed for
+    every (proposal, object) pair."""
+    order = sorted(range(len(centers)), key=lambda i: (-scores[i], i))
+    claimed: set[int] = set()
+    out: dict[int, int] = {}
+    for pi in order:
+        px, py = centers[pi]
+        best_obj, best_d = None, np.inf
+        for oi, obj in enumerate(objects):
+            if oi in claimed:
+                continue
+            ox, oy = object_centers[oi]
+            d = float(np.hypot(px - ox, py - oy))
+            if d <= radius_scale * obj.diagonal and d < best_d:
+                best_obj, best_d = oi, d
+        if best_obj is not None:
+            claimed.add(best_obj)
+            out[pi] = best_obj
+    return out
+
+
 class TestAssignProposals:
     def test_higher_score_claims_first(self):
         objects = (obj_at(0, 0.0, 0.0), obj_at(1, 10.0, 0.0))
@@ -342,6 +484,31 @@ class TestAssignProposals:
         objects = (obj_at(0, 0.0, 0.0),)
         got = assign_proposals([(0.4, 0.0), (0.2, 0.0)], [0.7, 0.7], objects, [(0.0, 0.0)])
         assert got == {0: 0}
+
+    @given(
+        data=st.data(),
+        n_props=st.integers(0, 8),
+        n_objs=st.integers(0, 6),
+        radius_scale=st.sampled_from((0.5, 1.0, 1.5, 3.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_pair_loop(self, data, n_props, n_objs, radius_scale):
+        coord = st.floats(-6.0, 6.0, allow_nan=False)
+        side = st.floats(0.1, 3.0, allow_nan=False)
+        objects = tuple(
+            SceneObject(
+                i, "vehicle", (0.0, 0.0),
+                (data.draw(side), data.draw(side), 1.0), 0.0, (0.0, 0.0), np.zeros(2),
+            )
+            for i in range(n_objs)
+        )
+        object_centers = [(data.draw(coord), data.draw(coord)) for _ in range(n_objs)]
+        centers = [(data.draw(coord), data.draw(coord)) for _ in range(n_props)]
+        # few distinct scores, so ties in the claim order are common
+        scores = [data.draw(st.sampled_from((0.2, 0.5, 0.9))) for _ in range(n_props)]
+        got = assign_proposals(centers, scores, objects, object_centers, radius_scale)
+        want = assign_proposals_loop(centers, scores, objects, object_centers, radius_scale)
+        assert list(got.items()) == list(want.items())
 
 
 def pipeline_for(scene, chosen_camera=None, drop_camera=()):
