@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import to_dict
 from .contrastive import ZERO_NORM_EPS, ProjectionHead, ZeroVectorError, cosine_sim
 from .grid import (
     FeatureMap,
@@ -220,7 +221,7 @@ class FusedMap:
         meta and modality, and the channel layout."""
         write_bevf(stem, self.fmap.data)
         sidecar = {
-            "meta": self.fmap.meta.to_dict(),
+            "meta": to_dict(self.fmap.meta),
             "modality": self.fmap.modality,
             "channel_layout": self.channel_layout(),
         }

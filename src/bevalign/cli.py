@@ -86,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--config", default=None, help="experiment config for scene knobs")
     p_gen.add_argument("--sigma-t", type=float, default=0.0, help="spatial translation sigma (m)")
-    p_gen.add_argument("--sigma-r", type=float, default=0.0, help="spatial rotation sigma (rad)")
+    p_gen.add_argument(
+        "--sigma-r", type=float, default=0.0, help="spatial rotation sigma (rad; 0.01745 = 1°)"
+    )
     p_gen.add_argument("--lag", type=float, default=0.0, help="temporal lag (s)")
 
     p_align = sub.add_parser("align", help="train on a scene bundle and align it")

@@ -16,9 +16,10 @@ reduces in that order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .contrastive import (
     train_heads,
     write_loss_trace_csv,
 )
-from .grid import GridMeta, default_meta
+from .config import ConfigError, field_types, from_dict, to_dict
 from .instance import InstanceConfig, Proposal, RoiFeature, extract_instances
 from .pairing import PairConfig, PairSet, build_pairs
 from .scenesim import (
@@ -55,24 +56,14 @@ NOISE_STREAM_SALT = 9001
 VARIANTS = ("naive", "untrained", "trained")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment config; carries the offending field path."""
-
-    def __init__(self, fld: str, message: str) -> None:
-        super().__init__(f"config field '{fld}': {message}")
-        self.field = fld
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_scenes: int = 4
     base_seed: int = 0
     out_dir: str = "run_out"
-    meta: GridMeta = field(default_factory=default_meta)
     scene: SceneConfig = field(default_factory=SceneConfig)
     instance: InstanceConfig = field(default_factory=InstanceConfig)
     pairing: PairConfig = field(default_factory=PairConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     align: AlignConfig = field(default_factory=AlignConfig)
     noise_grid: tuple[NoiseSpec, ...] = (NoiseSpec(),)
@@ -80,69 +71,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_scenes < 1:
             raise ConfigError("n_scenes", "must be >= 1")
+        if self.scene.n_objects < 2:
+            raise ConfigError("scene.n_objects", "must be >= 2: one object has no negative pair")
         if not self.noise_grid:
             raise ConfigError("noise_grid", "must be non-empty")
 
     def echo(self) -> dict:
-        return {
-            "n_scenes": self.n_scenes,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-            "grid": self.meta.to_dict(),
-            "scene": {
-                "n_objects": self.scene.n_objects,
-                "d_z": self.scene.d_z,
-                "sigma_f": self.scene.sigma_f,
-                "feature_seed": self.scene.feature_seed,
-                "c_lidar": self.scene.c_lidar,
-                "c_camera": self.scene.c_camera,
-                "layout": self.scene.layout,
-                "min_separation": self.scene.min_separation,
-                "v_max": self.scene.v_max,
-                "static_frac": self.scene.static_frac,
-            },
-            "instance": {
-                "kernel": self.instance.kernel,
-                "score_thresh": self.instance.score_thresh,
-                "max_n": self.instance.max_n,
-                "yaw_aware_sampling": self.instance.yaw_aware_sampling,
-                "default_dims": list(self.instance.default_dims),
-            },
-            "pairing": {
-                "tau_iou": self.pairing.tau_iou,
-                "k_negatives": self.pairing.k_negatives,
-                "anchor": self.pairing.anchor,
-            },
-            "loss": {
-                "mode": self.loss.mode,
-                "temperature": self.loss.temperature,
-                "include_positive_in_denominator": self.loss.include_positive_in_denominator,
-            },
-            "train": {
-                "steps": self.train.steps,
-                "step_size": self.train.step_size,
-                "d_e": self.train.d_e,
-                "seed": self.train.seed,
-            },
-            "align": {
-                "k_neighbors": self.align.k_neighbors,
-                "metric": self.align.metric,
-            },
-            "noise_grid": [n.to_dict() for n in self.noise_grid],
-        }
+        """The complete effective config in the JSON layout parse_config
+        reads, except that noise_grid lists its expanded points."""
+        d = to_dict(self)
+        top = {name: d[sec].pop(fld) for name, (sec, fld) in TOP_LEVEL.items()}
+        return {**top, **d}
 
 
-def _build_section(fld: str, ctor, kwargs: dict):
-    for f in fields(ctor):
-        # annotations are strings under `from __future__ import annotations`
-        if f.type in (int, "int") and f.name in kwargs:
-            _require_int(f"{fld}.{f.name}", kwargs[f.name])
-    try:
-        return ctor(**kwargs)
-    except TypeError as e:
-        raise ConfigError(fld, f"unknown or missing key ({e})") from e
-    except ValueError as e:
-        raise ConfigError(fld, str(e)) from e
+# JSON sections that set a nested field: the grid is the scene's, and the
+# loss is the training objective's.
+TOP_LEVEL = {"grid": ("scene", "meta"), "loss": ("train", "loss")}
+NOISE_AXES = ("sigma_t", "sigma_r", "lag")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -150,82 +95,33 @@ def parse_config(raw: dict) -> ExperimentConfig:
     raise ConfigError naming the field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    known = {
-        "n_scenes",
-        "base_seed",
-        "out_dir",
-        "grid",
-        "scene",
-        "instance",
-        "pairing",
-        "loss",
-        "train",
-        "align",
-        "noise_grid",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown config section")
+    body = {k: v for k, v in raw.items() if k not in TOP_LEVEL}
+    for name, (sec, fld) in TOP_LEVEL.items():
+        section = body.get(sec, {})
+        if not isinstance(section, dict):
+            continue  # from_dict names the section
+        if fld in section:
+            raise ConfigError(f"{sec}.{fld}", f"unknown key; it is set by the '{name}' section")
+        if name in raw:
+            tp = field_types(field_types(ExperimentConfig)[sec])[fld]
+            body[sec] = {**section, fld: from_dict(tp, raw[name], name)}
+    if "noise_grid" in raw:
+        body["noise_grid"] = _noise_points(raw["noise_grid"])
+    return from_dict(ExperimentConfig, body)
 
-    meta = _build_section("grid", GridMeta, raw["grid"]) if "grid" in raw else default_meta()
-    scene_kwargs = _listfix(_listfix(raw.get("scene", {}), "dims_low"), "dims_high")
-    scene = _build_section("scene", SceneConfig, {**scene_kwargs, "meta": meta})
-    instance = _build_section("instance", InstanceConfig, _listfix(raw.get("instance", {}), "default_dims"))
-    pairing = _build_section("pairing", PairConfig, raw.get("pairing", {}))
-    loss = _build_section("loss", LossConfig, raw.get("loss", {}))
-    train = _build_section(
-        "train", TrainConfig, {**raw.get("train", {}), "loss": loss}
-    )
-    align = _build_section("align", AlignConfig, raw.get("align", {}))
 
-    ng = raw.get("noise_grid", {"sigma_t": [0.0], "sigma_r": [0.0], "lag": [0.0]})
+def _noise_points(ng) -> list[dict]:
+    """The cartesian product of the sigma_t/sigma_r/lag lists."""
     if not isinstance(ng, dict):
         raise ConfigError("noise_grid", "must be an object of sigma_t/sigma_r/lag lists")
-    for axis in ("sigma_t", "sigma_r", "lag"):
-        vals = ng.get(axis, [0.0])
+    for key in ng:
+        if key not in NOISE_AXES:
+            raise ConfigError("noise_grid", f"unknown key {key!r}")
+    axes = [ng.get(axis, [0.0]) for axis in NOISE_AXES]
+    for axis, vals in zip(NOISE_AXES, axes):
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"noise_grid.{axis}", "must be a non-empty list")
-    points = []
-    for st in ng.get("sigma_t", [0.0]):
-        for sr in ng.get("sigma_r", [0.0]):
-            for lag in ng.get("lag", [0.0]):
-                points.append(
-                    _build_section("noise_grid", NoiseSpec, {"sigma_t": st, "sigma_r": sr, "lag": lag})
-                )
-
-    return ExperimentConfig(
-        n_scenes=_int_field(raw, "n_scenes", 4),
-        base_seed=_int_field(raw, "base_seed", 0),
-        out_dir=str(raw.get("out_dir", "run_out")),
-        meta=meta,
-        scene=scene,
-        instance=instance,
-        pairing=pairing,
-        loss=loss,
-        train=train,
-        align=align,
-        noise_grid=tuple(points),
-    )
-
-
-def _int_field(raw: dict, key: str, default: int) -> int:
-    value = raw.get(key, default)
-    _require_int(key, value)
-    return value
-
-
-def _require_int(fld: str, value) -> None:
-    # JSON true/false parse as bool, a subclass of int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(fld, f"must be an integer, got {value!r}")
-
-
-def _listfix(section: dict, key: str) -> dict:
-    # JSON has no tuples; coerce list-valued knobs back
-    out = dict(section)
-    if key in out and isinstance(out[key], list):
-        out[key] = tuple(out[key])
-    return out
+    return [dict(zip(NOISE_AXES, point)) for point in itertools.product(*axes)]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -305,7 +201,7 @@ def evaluate_scene(
         head_l, head_c = heads[variant]
         key = (id(head_l), id(head_c))
         if key not in losses:
-            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.loss)
+            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.train.loss)
         acfg = AlignConfig(
             k_neighbors=cfg.align.k_neighbors,
             metric=cfg.align.metric,
@@ -408,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     per_scene = [eval_one(i) for i in eval_idx]
     noise_points: list[dict] = []
     for k, spec in enumerate(cfg.noise_grid):
-        point = {"noise": spec.to_dict(), "variants": {}}
+        point = {"noise": to_dict(spec), "variants": {}}
         for variant in VARIANTS:
             point["variants"][variant] = _aggregate([m[k][variant] for m in per_scene])
         noise_points.append(point)

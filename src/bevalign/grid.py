@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import from_dict, to_dict
+
 MAGIC = b"BEVF"
 HEADER_SIZE = 16
 
@@ -68,19 +70,6 @@ class GridMeta:
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "resolution": self.resolution,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridMeta":
-        return cls(d["x_min"], d["x_max"], d["y_min"], d["y_max"], d["resolution"])
 
 
 def default_meta() -> GridMeta:
@@ -186,16 +175,6 @@ def apply_transform(p: tuple[float, float], t: PlanarTransform) -> tuple[float, 
     return c * x - s * y + t.tx, s * x + c * y + t.ty
 
 
-def apply_transform_many(points: np.ndarray, t: PlanarTransform) -> np.ndarray:
-    """Vectorized apply_transform over an (N, 2) array."""
-    pts = np.asarray(points, dtype=np.float64)
-    c, s = math.cos(t.theta), math.sin(t.theta)
-    out = np.empty_like(pts)
-    out[:, 0] = c * pts[:, 0] - s * pts[:, 1] + t.tx
-    out[:, 1] = s * pts[:, 0] + c * pts[:, 1] + t.ty
-    return out
-
-
 def bilinear_sample(fmap: FeatureMap, q: tuple[float, float]) -> np.ndarray:
     """Bilinear blend of the 4 cells around fractional (row, col).
 
@@ -286,7 +265,7 @@ def save_feature_map(path: str | Path, fmap: FeatureMap) -> None:
     """Write map binary plus a `<path>.json` sidecar with meta and modality."""
     path = Path(path)
     write_bevf(path, fmap.data)
-    sidecar = {"meta": fmap.meta.to_dict(), "modality": fmap.modality}
+    sidecar = {"meta": to_dict(fmap.meta), "modality": fmap.modality}
     with open(path.with_name(path.name + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")
@@ -297,4 +276,4 @@ def load_feature_map(path: str | Path) -> FeatureMap:
     data = read_bevf(path)
     with open(path.with_name(path.name + ".json")) as f:
         sidecar = json.load(f)
-    return FeatureMap(GridMeta.from_dict(sidecar["meta"]), data, sidecar["modality"])
+    return FeatureMap(from_dict(GridMeta, sidecar["meta"], "meta"), data, sidecar["modality"])

@@ -12,7 +12,6 @@ one vector of length 5*C.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,6 @@ class InstanceConfig:
     kernel: int = 3
     score_thresh: float = 0.1
     max_n: int = 200
-    yaw_aware_sampling: bool = False
     default_dims: tuple[float, float, float] = (2.0, 2.0, 2.0)
 
     def __post_init__(self) -> None:
@@ -115,10 +113,8 @@ class InstanceConfig:
             raise ValueError(f"score_thresh must be in [0, 1], got {self.score_thresh}")
         if self.max_n < 0:
             raise ValueError("max_n must be non-negative")
-
-
-# Regression map channel layout consumed by sparse_max_pool_peaks.
-REGRESSION_CHANNELS = ("w", "h", "l", "yaw", "z")
+        if min(self.default_dims) <= 0:
+            raise ValueError(f"default_dims must be positive, got {self.default_dims}")
 
 
 def sparse_max_pool_peaks(
@@ -126,7 +122,6 @@ def sparse_max_pool_peaks(
     kernel: int = 3,
     score_thresh: float = 0.1,
     max_n: int = 200,
-    regression: FeatureMap | None = None,
     default_dims: tuple[float, float, float] = (2.0, 2.0, 2.0),
 ) -> list[Proposal]:
     """Local-maximum proposals from a per-class score heatmap, no NMS.
@@ -134,13 +129,11 @@ def sparse_max_pool_peaks(
     Each heatmap channel is one class; peaks are strict window maxima under
     the plateau tie rule, kept when score >= score_thresh, sorted by score
     descending (ties to the lower row-major cell, then lower class), and
-    truncated to max_n.  Box dims and yaw come from a companion regression
-    map (channels w, h, l, yaw, z read at the peak cell) when given.
+    truncated to max_n.  Every proposal has z 0, yaw 0 and the box dims
+    default_dims.
     """
     if kernel < 3 or kernel % 2 == 0:
         raise InvalidKernelError(f"kernel must be odd and >= 3, got {kernel}")
-    if regression is not None:
-        require_same_meta(heatmap, regression)
     meta = heatmap.meta
     h, w = meta.height, meta.width
     half = kernel // 2
@@ -156,16 +149,7 @@ def sparse_max_pool_peaks(
     proposals: list[Proposal] = []
     for negscore, _, ch, r, c in found[:max_n]:
         x, y = grid_to_world((float(r), float(c)), meta)
-        if regression is not None:
-            reg = regression.data[r, c]
-            dims = (float(reg[0]), float(reg[1]), float(reg[2]))
-            yaw = float(reg[3]) if regression.channels > 3 else 0.0
-            z = float(reg[4]) if regression.channels > 4 else 0.0
-        else:
-            dims, yaw, z = default_dims, 0.0, 0.0
-        proposals.append(
-            Proposal(x, y, z, dims[0], dims[1], dims[2], yaw, -negscore, ch)
-        )
+        proposals.append(Proposal(x, y, 0.0, *default_dims, 0.0, -negscore, ch))
     return proposals
 
 
@@ -182,15 +166,12 @@ def _wins_plateau(heat: np.ndarray, r: int, c: int, half: int, h: int, w: int) -
     return True
 
 
-def roi_sample(fmap: FeatureMap, p: Proposal, yaw_aware: bool = False) -> RoiFeature:
+def roi_sample(fmap: FeatureMap, p: Proposal) -> RoiFeature:
     """5-point RoI feature: bilinear reads at the center and the four edge
     midpoints, clamped into the grid, concatenated [c, up, down, left, right]."""
     hw = p.width / 2.0
     hh = p.height / 2.0
     offsets = [(0.0, 0.0), (0.0, hh), (0.0, -hh), (-hw, 0.0), (hw, 0.0)]
-    if yaw_aware:
-        cy_, sy_ = math.cos(p.yaw), math.sin(p.yaw)
-        offsets = [(cy_ * ox - sy_ * oy, sy_ * ox + cy_ * oy) for ox, oy in offsets]
     blocks = []
     for ox, oy in offsets:
         q = world_to_grid((p.cx + ox, p.cy + oy), fmap.meta)
@@ -207,7 +188,6 @@ def extract_instances(
     fmap: FeatureMap,
     heatmap: FeatureMap,
     cfg: InstanceConfig,
-    regression: FeatureMap | None = None,
 ) -> list[tuple[Proposal, RoiFeature]]:
     """Peaks -> proposals -> RoI features, in proposal score order."""
     require_same_meta(fmap, heatmap)
@@ -216,12 +196,11 @@ def extract_instances(
         kernel=cfg.kernel,
         score_thresh=cfg.score_thresh,
         max_n=cfg.max_n,
-        regression=regression,
         default_dims=cfg.default_dims,
     )
     out = []
     for idx, p in enumerate(proposals):
-        roi = roi_sample(fmap, p, yaw_aware=cfg.yaw_aware_sampling)
+        roi = roi_sample(fmap, p)
         out.append((p, RoiFeature(idx, roi.modality, roi.vector, roi.box)))
     return out
 

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignfuse import PipelineOutput
+from .config import from_dict, to_dict
 from .grid import (
     FeatureMap,
     GridMeta,
@@ -126,14 +127,11 @@ class NoiseSpec:
     lag: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
+        for name, value in to_dict(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma_t < 0 or self.sigma_r < 0 or self.lag < 0:
             raise ValueError("noise magnitudes must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"sigma_t": self.sigma_t, "sigma_r": self.sigma_r, "lag": self.lag}
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ class AppliedNoise:
 
     def to_dict(self) -> dict:
         return {
-            **self.spec.to_dict(),
+            **to_dict(self.spec),
             "theta": self.transform.theta,
             "tx": self.transform.tx,
             "ty": self.transform.ty,
@@ -658,8 +656,8 @@ def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:
 
 
 def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
-    """Scene bundle: four map binaries with sidecars, objects.json,
-    noise.json, correspondence.json."""
+    """Scene bundle: four map binaries with sidecars, objects.json (with the
+    full generation config), noise.json, correspondence.json."""
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
     save_feature_map(d / "lidar_feat", scene.lidar_feat)
@@ -671,13 +669,7 @@ def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
         "objects": [o.to_dict() for o in scene.objects],
         "lidar_features": scene.lidar_features.tolist(),
         "camera_features": scene.camera_features.tolist(),
-        "config": {
-            "n_objects": scene.config.n_objects,
-            "d_z": scene.config.d_z,
-            "sigma_f": scene.config.sigma_f,
-            "feature_seed": scene.config.feature_seed,
-            "layout": scene.config.layout,
-        },
+        "config": to_dict(scene.config),
     }
     (d / "objects.json").write_text(json.dumps(objs, indent=2))
     (d / "noise.json").write_text(json.dumps(scene.noise.to_dict(), indent=2))
@@ -685,20 +677,15 @@ def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
 
 
 def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
-    """Rebuild a Scene from a bundle.  cfg supplies the generation knobs
-    that the bundle does not persist; rendering state comes from disk."""
+    """Rebuild a Scene from a bundle; rendering state comes from disk.  The
+    generation config is the bundle's unless cfg is given; a config key the
+    bundle lacks (older bundles hold five) takes its default."""
     d = Path(bundle_dir)
     objs = json.loads((d / "objects.json").read_text())
     noise_d = json.loads((d / "noise.json").read_text())
     corr = json.loads((d / "correspondence.json").read_text())
     if cfg is None:
-        cfg = SceneConfig(
-            n_objects=int(objs["config"]["n_objects"]),
-            d_z=int(objs["config"]["d_z"]),
-            sigma_f=float(objs["config"]["sigma_f"]),
-            feature_seed=int(objs["config"]["feature_seed"]),
-            layout=str(objs["config"]["layout"]),
-        )
+        cfg = from_dict(SceneConfig, objs["config"], "config")
     noise = AppliedNoise(
         spec=NoiseSpec(
             sigma_t=float(noise_d["sigma_t"]),

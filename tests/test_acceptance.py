@@ -150,7 +150,6 @@ def test_c4_clean_scene_perfection(verdict):
         n_scenes=40,
         base_seed=0,
         scene=SceneConfig(sigma_f=0.0, layout="uniform", min_separation=2.25),
-        loss=cos,
         train=TrainConfig(loss=cos),
         noise_grid=(NoiseSpec(),),
     )

@@ -24,6 +24,7 @@ TINY_CFG = {
     "train": {"steps": 10, "d_e": 8},
     "noise_grid": {"sigma_t": [0.0, 0.25]},
 }
+GRID_54 = {"x_min": -27.0, "x_max": 27.0, "y_min": -27.0, "y_max": 27.0, "resolution": 0.75}
 
 
 @pytest.fixture()
@@ -174,8 +175,38 @@ class TestRunCommand:
         path.write_text(json.dumps({**TINY_CFG, "noise_grid": {axis: [0.0, value]}}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "config field 'noise_grid'" in err
-        assert f"{axis} must be finite" in err
+        assert f"config field 'noise_grid.{axis}'" in err
+        assert "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path,value,named",
+        [
+            ("scene.dims_low", "[1, 1]", "scene.dims_low"),
+            ("instance.default_dims", "[2, 2]", "instance.default_dims"),
+            ("instance.default_dims", "[0, 2, 2]", "instance"),
+            ("scene.v_max", '"5"', "scene.v_max"),
+            ("scene.bump_sigma_feat", "1e999", "scene.bump_sigma_feat"),
+            ("scene.meta", json.dumps(GRID_54), "scene.meta"),
+            ("out_dir", "5", "out_dir"),
+            ("loss.temperature", '"0.1"', "loss.temperature"),
+            ("scene.n_objects", "1", "scene.n_objects"),
+            ("instance.yaw_aware_sampling", "true", "instance"),
+        ],
+    )
+    def test_bad_value_exits_two_and_names_its_field(self, path, value, named, tmp_path, capsys):
+        # the value is spliced in as JSON text, so 1e999 reaches the parser as written
+        raw = dict(TINY_CFG)
+        *sections, key = path.split(".")
+        inner = raw
+        for sec in sections:
+            inner[sec] = dict(inner.get(sec, {}))
+            inner = inner[sec]
+        inner[key] = "@VALUE@"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw).replace('"@VALUE@"', value))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config field '{named}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

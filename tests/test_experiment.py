@@ -3,13 +3,18 @@
 import dataclasses
 import json
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bevalign
 from bevalign import experiment
-from bevalign.contrastive import TrainConfig, info_nce, init_heads
+from bevalign.alignfuse import AlignConfig
+from bevalign.config import to_dict
+from bevalign.contrastive import LossConfig, TrainConfig, info_nce, init_heads
 from bevalign.experiment import (
     VARIANTS,
     ConfigError,
@@ -23,6 +28,9 @@ from bevalign.experiment import (
     run_scene_pipeline,
     write_outputs,
 )
+from bevalign.grid import GridMeta
+from bevalign.instance import InstanceConfig
+from bevalign.pairing import PairConfig
 from bevalign.scenesim import NoiseSpec, SceneConfig, gen_scene
 
 TINY_SCENE = SceneConfig(
@@ -102,13 +110,124 @@ class TestParseConfig:
         cfg = parse_config(
             {"grid": {"x_min": 0.0, "x_max": 9.0, "y_min": 0.0, "y_max": 9.0, "resolution": 1.0}}
         )
-        assert cfg.meta.height == 9 and cfg.meta.width == 9
-        assert cfg.scene.meta == cfg.meta  # scene generation uses the same grid
+        assert cfg.scene.meta.height == 9 and cfg.scene.meta.width == 9
 
     def test_loss_config_threads_into_training(self):
         cfg = parse_config({"loss": {"mode": "cosine", "temperature": 0.1}})
-        assert cfg.loss.mode == "cosine"
-        assert cfg.train.loss == cfg.loss
+        assert cfg.train.loss.mode == "cosine"
+        assert cfg.train.loss.temperature == 0.1
+
+    def test_one_object_scene_is_rejected_on_its_field(self):
+        # a one-object scene has no negative pair, so training could not run
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig(scene=SceneConfig(n_objects=1))
+        assert e.value.field == "scene.n_objects"
+        with pytest.raises(ConfigError) as e:
+            parse_config({"scene": {"n_objects": 1}})
+        assert e.value.field == "scene.n_objects"
+
+    def test_echo_reports_the_grid_and_loss_the_run_uses(self):
+        meta = GridMeta(-27.0, 27.0, -27.0, 27.0, 0.75)
+        cfg = ExperimentConfig(
+            scene=SceneConfig(meta=meta), train=TrainConfig(loss=LossConfig(mode="cosine"))
+        )
+        echo = cfg.echo()
+        assert echo["grid"] == to_dict(meta)
+        assert echo["loss"]["mode"] == "cosine"
+        assert "meta" not in echo["scene"] and "loss" not in echo["train"]
+        assert len(echo["scene"]) == len(dataclasses.fields(SceneConfig)) - 1
+
+
+finite = partial(st.floats, allow_nan=False, allow_infinity=False)
+positive = finite(0.01, 100.0)
+dims = st.tuples(positive, positive, positive)
+
+
+@st.composite
+def grid_metas(draw):
+    x0, y0, res = draw(finite(-100.0, 100.0)), draw(finite(-100.0, 100.0)), draw(finite(0.1, 2.0))
+    nx, ny = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    return GridMeta(x0, x0 + nx * res, y0, y0 + ny * res, res)
+
+
+configs = st.builds(
+    ExperimentConfig,
+    n_scenes=st.integers(1, 10**6),
+    base_seed=st.integers(0, 2**64 - 1),
+    out_dir=st.text(max_size=20),
+    scene=st.builds(
+        SceneConfig,
+        n_objects=st.integers(2, 50),
+        d_z=st.integers(1, 32),
+        sigma_f=finite(0.0, 1.0),
+        feature_seed=st.integers(0, 2**63),
+        c_lidar=st.integers(1, 64),
+        c_camera=st.integers(1, 64),
+        meta=grid_metas(),
+        layout=st.sampled_from(["clustered", "uniform"]),
+        min_separation=positive,
+        cluster_low=st.integers(1, 5),
+        cluster_high=st.integers(1, 8),
+        cluster_radius=positive,
+        anchor_separation=positive,
+        margin=finite(0.0, 20.0),
+        dims_low=dims,
+        dims_high=dims,
+        v_max=positive,
+        v_min=positive,
+        static_frac=finite(0.0, 1.0),
+        bump_sigma_feat=positive,
+        bump_sigma_heat=positive,
+        truncation=positive,
+        max_attempts=st.integers(1, 5000),
+    ),
+    instance=st.builds(
+        InstanceConfig,
+        kernel=st.integers(1, 5).map(lambda k: 2 * k + 1),
+        score_thresh=finite(0.0, 1.0),
+        max_n=st.integers(0, 500),
+        default_dims=dims,
+    ),
+    pairing=st.builds(
+        PairConfig,
+        tau_iou=finite(0.001, 1.0),
+        k_negatives=st.integers(1, 32),
+        anchor=st.sampled_from(["camera", "lidar"]),
+    ),
+    train=st.builds(
+        TrainConfig,
+        steps=st.integers(0, 1000),
+        step_size=positive,
+        d_e=st.integers(1, 64),
+        seed=st.integers(0, 2**32),
+        loss=st.builds(
+            LossConfig,
+            mode=st.sampled_from(["dot", "cosine"]),
+            temperature=positive,
+            include_positive_in_denominator=st.booleans(),
+        ),
+    ),
+    align=st.builds(
+        AlignConfig,
+        k_neighbors=st.integers(1, 32),
+        metric=st.sampled_from(["cosine", "dot"]),
+        variant=st.sampled_from(["embedding", "nearest"]),
+    ),
+    noise_grid=st.lists(
+        st.builds(NoiseSpec, sigma_t=finite(0.0, 2.0), sigma_r=finite(0.0, 0.1), lag=finite(0.0, 1.0)),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestEchoRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(configs)
+    def test_parse_of_echo_is_the_config(self, cfg):
+        echo = json.loads(json.dumps(cfg.echo()))
+        assert echo.pop("noise_grid") == [to_dict(n) for n in cfg.noise_grid]
+        assert parse_config(echo) == dataclasses.replace(cfg, noise_grid=(NoiseSpec(),))
 
 
 class TestLoadConfig:
@@ -131,20 +250,20 @@ class TestMeanPairLoss:
         scene = gen_scene(TINY_SCENE, 1)
         pipe = ScenePipeline(scene, (), (), (), (), None)
         heads = init_heads(30, 4, 0)
-        assert mean_pair_loss(pipe, *heads, TINY.loss) == 0.0
+        assert mean_pair_loss(pipe, *heads, TINY.train.loss) == 0.0
 
     def test_matches_per_pair_info_nce_mean(self):
         pipe = run_scene_pipeline(gen_scene(TINY_SCENE, 1), TINY)
         assert pipe.pairs is not None and pipe.pairs.positives
         heads = init_heads(30, 8, 0)
-        got = mean_pair_loss(pipe, *heads, TINY.loss)
+        got = mean_pair_loss(pipe, *heads, TINY.train.loss)
         values = []
         for (i, j), negs in zip(pipe.pairs.positives, pipe.pairs.negatives):
             if negs:
                 el = heads[0].project(pipe.lidar_feats[i].vector)
                 ec = heads[1].project(pipe.camera_feats[j].vector)
                 en = np.asarray([heads[1].project(pipe.camera_feats[n].vector) for n in negs])
-                values.append(info_nce(el, ec, en, TINY.loss).value)
+                values.append(info_nce(el, ec, en, TINY.train.loss).value)
         assert got == float(np.mean(values))
 
 

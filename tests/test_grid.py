@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bevalign.config import from_dict, to_dict
 from bevalign.grid import (
     MAGIC,
     FeatureMap,
@@ -19,7 +20,6 @@ from bevalign.grid import (
     OutOfBoundsError,
     PlanarTransform,
     apply_transform,
-    apply_transform_many,
     bilinear_sample,
     clamp_to_grid,
     default_meta,
@@ -93,7 +93,7 @@ class TestGridMeta:
 
     def test_dict_round_trip(self):
         meta = default_meta()
-        assert GridMeta.from_dict(meta.to_dict()) == meta
+        assert from_dict(GridMeta, to_dict(meta)) == meta
 
 
 class TestCoordinateMapping:
@@ -163,15 +163,6 @@ class TestPlanarTransform:
         want = apply_transform_mp((x, y), t)
         assert abs(got[0] - want[0]) < 1e-12
         assert abs(got[1] - want[1]) < 1e-12
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        t = PlanarTransform(0.3, -1.0, 2.0)
-        pts = rng.uniform(-10, 10, size=(50, 2))
-        out = apply_transform_many(pts, t)
-        for i in range(pts.shape[0]):
-            x, y = apply_transform((pts[i, 0], pts[i, 1]), t)
-            assert out[i, 0] == x and out[i, 1] == y
 
     def test_non_finite_theta_raises(self):
         with pytest.raises(ValueError):

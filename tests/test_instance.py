@@ -1,7 +1,6 @@
 """Heatmap peak extraction and 5-point RoI feature sampling."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -96,20 +95,6 @@ class TestSparseMaxPoolPeaks:
         props = sparse_max_pool_peaks(heat_map(heat))
         assert [(p.label, p.score) for p in props] == [(1, pytest.approx(0.8)), (0, pytest.approx(0.6))]
 
-    def test_regression_map_fills_box_fields(self):
-        heat = np.zeros((5, 5))
-        heat[2, 2] = 1.0
-        reg = np.zeros((5, 5, 5), dtype=np.float32)
-        reg[2, 2] = [1.5, 2.5, 3.5, 0.7, -1.2]
-        meta = GridMeta(0.0, 5.0, 0.0, 5.0, 1.0)
-        props = sparse_max_pool_peaks(
-            heat_map(heat, meta), regression=FeatureMap(meta=meta, data=reg)
-        )
-        p = props[0]
-        assert (p.width, p.height, p.length) == (1.5, 2.5, 3.5)
-        assert p.yaw == pytest.approx(0.7)
-        assert p.z == pytest.approx(-1.2)
-
     def test_default_dims_without_regression(self):
         heat = np.zeros((5, 5))
         heat[2, 2] = 1.0
@@ -163,14 +148,6 @@ class TestRoiSample:
         xy = roi.vector.reshape(5, 2)
         # [center, up, down, left, right] with hw=1, hh=2
         want = [(6.0, 9.0), (6.0, 11.0), (6.0, 7.0), (5.0, 9.0), (7.0, 9.0)]
-        np.testing.assert_allclose(xy, want, atol=1e-9)
-
-    def test_yaw_aware_rotates_offsets(self):
-        fmap = self.make_gradient_map()
-        p = Proposal(8.0, 8.0, 0.0, 2.0, 4.0, 2.0, math.pi / 2.0, 1.0, 0)
-        xy = roi_sample(fmap, p, yaw_aware=True).vector.reshape(5, 2)
-        # quarter turn maps (ox, oy) -> (-oy, ox)
-        want = [(8.0, 8.0), (6.0, 8.0), (10.0, 8.0), (8.0, 7.0), (8.0, 9.0)]
         np.testing.assert_allclose(xy, want, atol=1e-9)
 
     def test_border_points_clamp(self):

@@ -1,5 +1,6 @@
 """Synthetic scene generation, calibration/lag noise, and alignment metrics."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -431,6 +432,35 @@ class TestSceneBundle:
         assert loaded.config.sigma_f == CLEAN.sigma_f
         assert loaded.config.feature_seed == CLEAN.feature_seed
         assert loaded.config.layout == CLEAN.layout
+
+    def test_bundle_carries_the_full_generation_config(self, tmp_path):
+        cfg = replace(
+            SMALL,
+            c_lidar=8,
+            c_camera=12,
+            meta=GridMeta(-20.0, 20.0, -15.0, 15.0, 0.5),
+            dims_low=(0.8, 0.9, 1.0),
+            dims_high=(1.4, 1.5, 2.0),
+        )
+        save_scene(tmp_path / "bundle", gen_scene(cfg, 13))
+        assert load_scene(tmp_path / "bundle").config == cfg
+
+    def test_five_key_bundle_config_still_loads(self, tmp_path):
+        # bundles written before the full config was saved hold five keys;
+        # every other knob takes its default
+        save_scene(tmp_path / "bundle", gen_scene(CLEAN, 13))
+        path = tmp_path / "bundle" / "objects.json"
+        objs = json.loads(path.read_text())
+        keys = ("n_objects", "d_z", "sigma_f", "feature_seed", "layout")
+        objs["config"] = {k: objs["config"][k] for k in keys}
+        path.write_text(json.dumps(objs, indent=2))
+        assert load_scene(tmp_path / "bundle").config == SceneConfig(
+            n_objects=CLEAN.n_objects,
+            d_z=CLEAN.d_z,
+            sigma_f=CLEAN.sigma_f,
+            feature_seed=CLEAN.feature_seed,
+            layout=CLEAN.layout,
+        )
 
 
 def obj_at(idx, x, y, dims=(2.0, 2.0, 2.0)):
