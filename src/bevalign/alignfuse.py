@@ -10,13 +10,14 @@ score go to the lower neighbor rank, so results are order-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from .config import to_dict
-from .contrastive import ZERO_NORM_EPS, ProjectionHead, ZeroVectorError, cosine_sim
+from .config import check_fields, to_dict
+from .contrastive import ZERO_NORM_EPS, ProjectionHead, ZeroVectorError
 from .grid import (
     FeatureMap,
     require_same_meta,
@@ -27,29 +28,16 @@ from .instance import Proposal, RoiFeature
 from .pairing import PairSet, knn
 
 
-class EmptyNeighborhoodError(ValueError):
-    """align() needs at least one camera candidate."""
-
-
 @dataclass(frozen=True)
 class AlignConfig:
     """metric "cosine" is scale invariant in the RoI vectors; "dot" matches
-    the raw training score.  variant "embedding" ranks by head similarity,
-    "nearest" is the no-learning baseline that keeps the closest neighbor."""
+    the raw training score."""
 
-    k_neighbors: int = 8
-    metric: str = "cosine"
-    variant: str = "embedding"
+    k_neighbors: int = field(default=8, metadata={"ge": 1})
+    metric: Literal["cosine", "dot"] = "cosine"
 
     def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if self.metric not in ("cosine", "dot"):
-            raise ValueError(f"metric must be 'cosine' or 'dot', got {self.metric!r}")
-        if self.variant not in ("embedding", "nearest"):
-            raise ValueError(
-                f"variant must be 'embedding' or 'nearest', got {self.variant!r}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -100,41 +88,13 @@ class AlignmentResult:
         }
 
 
-def align(
-    lidar_inst: RoiFeature,
-    neighbors: list[RoiFeature],
-    head_lidar: ProjectionHead,
-    head_camera: ProjectionHead,
-    cfg: AlignConfig = AlignConfig(),
-) -> AlignEntry:
-    """Score one LiDAR instance against an ordered camera candidate list and
-    pick the argmax (ties -> lower rank).  This is the per-candidate
-    reference that align_instances' batched scores are checked against."""
-    if not neighbors:
-        raise EmptyNeighborhoodError("no camera candidates for alignment")
-    el = head_lidar.project(lidar_inst.vector)
-    scores = np.empty(len(neighbors))
-    for rank, cand in enumerate(neighbors):
-        ec = head_camera.project(cand.vector)
-        if cfg.metric == "cosine":
-            scores[rank] = cosine_sim(el, ec)
-        else:
-            scores[rank] = float(np.dot(el, ec))
-    return AlignEntry(
-        lidar_index=lidar_inst.proposal_id,
-        neighbor_indices=tuple(c.proposal_id for c in neighbors),
-        scores=scores,
-        # np.argmax returns the first maximum, i.e. the lowest rank
-        chosen_rank=int(np.argmax(scores)),
-    )
-
-
 def align_instances(
     lidar_feats: list[RoiFeature],
     camera_feats: list[RoiFeature],
     head_lidar: ProjectionHead,
     head_camera: ProjectionHead,
     cfg: AlignConfig = AlignConfig(),
+    nearest: bool = False,
 ) -> AlignmentResult:
     """Scene-level alignment: the candidate set for each LiDAR instance is
     its k nearest camera instances by center position (exact rank order,
@@ -142,8 +102,10 @@ def align_instances(
     detections at all pass through with chosen_rank=None.
 
     Each modality is projected once and all (instance, candidate) scores
-    come from one gathered (N_L, K, D_e) product, so the "embedding" scores
-    equal align()'s up to float summation order."""
+    come from one gathered (N_L, K, D_e) product, so the scores equal the
+    per-candidate oracle `oracles.align`'s up to float summation order.
+    nearest=True is the no-learning baseline: it keeps the closest
+    neighbor and ignores the heads."""
     if not (lidar_feats and camera_feats):
         return AlignmentResult(
             entries=tuple(
@@ -153,7 +115,7 @@ def align_instances(
     lidar_xy = np.array([f.center for f in lidar_feats])
     camera_xy = np.array([c.center for c in camera_feats])
     near = knn(camera_xy, lidar_xy, cfg.k_neighbors)
-    if cfg.variant == "nearest":
+    if nearest:
         # rank order is already nearest-first; score by closeness so the
         # argmax invariant still holds
         d = camera_xy[near] - lidar_xy[:, None, :]

@@ -174,8 +174,8 @@ def _cmd_gen_scene(args) -> int:
         return 2
     try:
         NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
-    except ValueError as e:
-        print(f"gen-scene: {e}", file=sys.stderr)
+    except ConfigError as e:
+        print(f"gen-scene: {e.field} {e.reason}", file=sys.stderr)
         return 2
     try:
         scene = gen_scene(cfg.scene, args.seed)

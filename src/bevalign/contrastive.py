@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
+from .config import check_fields
 from .grid import read_bevf, write_bevf
 from .pairing import PairSet
 
@@ -76,15 +78,12 @@ class LossConfig:
     cos(a, b) / temperature.  include_positive_in_denominator switches to
     the canonical softmax over {positive} + negatives."""
 
-    mode: str = "dot"
-    temperature: float = 0.07
+    mode: Literal["dot", "cosine"] = "dot"
+    temperature: float = field(default=0.07, metadata={"gt": 0})
     include_positive_in_denominator: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("dot", "cosine"):
-            raise ValueError(f"mode must be 'dot' or 'cosine', got {self.mode!r}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -239,19 +238,15 @@ class ScenePairs:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 500
-    step_size: float = 0.05
-    d_e: int = 16
-    seed: int = 0
+    steps: int = field(default=500, metadata={"ge": 0})
+    step_size: float = field(default=0.05, metadata={"gt": 0})
+    d_e: int = field(default=16, metadata={"ge": 1})
+    # numpy's default_rng takes no negative seed
+    seed: int = field(default=0, metadata={"ge": 0})
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if self.d_e < 1:
-            raise ValueError("d_e must be >= 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

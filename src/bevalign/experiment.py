@@ -37,7 +37,7 @@ from .contrastive import (
     train_heads,
     write_loss_trace_csv,
 )
-from .config import ConfigError, field_types, from_dict, to_dict
+from .config import ConfigError, check_fields, field_types, from_dict, to_dict
 from .instance import InstanceConfig, Proposal, RoiFeature, extract_instances
 from .pairing import PairConfig, PairSet, build_pairs
 from .scenesim import (
@@ -58,7 +58,7 @@ VARIANTS = ("naive", "untrained", "trained")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    n_scenes: int = 4
+    n_scenes: int = field(default=4, metadata={"ge": 1})
     base_seed: int = 0
     out_dir: str = "run_out"
     scene: SceneConfig = field(default_factory=SceneConfig)
@@ -69,8 +69,7 @@ class ExperimentConfig:
     noise_grid: tuple[NoiseSpec, ...] = (NoiseSpec(),)
 
     def __post_init__(self) -> None:
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes", "must be >= 1")
+        check_fields(self)
         if self.scene.n_objects < 2:
             raise ConfigError("scene.n_objects", "must be >= 2: one object has no negative pair")
         if not self.noise_grid:
@@ -202,13 +201,9 @@ def evaluate_scene(
         key = (id(head_l), id(head_c))
         if key not in losses:
             losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.train.loss)
-        acfg = AlignConfig(
-            k_neighbors=cfg.align.k_neighbors,
-            metric=cfg.align.metric,
-            variant="nearest" if variant == "naive" else "embedding",
-        )
+        nearest = variant == "naive"
         alignment = align_instances(
-            list(pipe.lidar_feats), list(pipe.camera_feats), head_l, head_c, acfg
+            pipe.lidar_feats, pipe.camera_feats, head_l, head_c, cfg.align, nearest=nearest
         )
         output = PipelineOutput(
             lidar_proposals=pipe.lidar_proposals,

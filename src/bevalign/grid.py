@@ -19,12 +19,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import from_dict, to_dict
+from .config import ConfigError, check_fields, from_dict, to_dict
 
 MAGIC = b"BEVF"
 HEADER_SIZE = 16
@@ -43,22 +43,23 @@ class GridMeta:
     """Metric extent and resolution of a BEV grid.
 
     height/width are derived as round(extent / resolution); construction
-    fails if the extent is degenerate or the derived shape is empty.
+    fails if the extent is degenerate or the derived shape is empty or infinite.
     """
 
     x_min: float
     x_max: float
     y_min: float
     y_max: float
-    resolution: float
+    resolution: float = field(metadata={"gt": 0})
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("extent must satisfy x_max > x_min and y_max > y_min")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("derived grid shape is empty")
+            raise ConfigError("x_max", "extent must satisfy x_max > x_min and y_max > y_min")
+        spans = (self.x_max - self.x_min, self.y_max - self.y_min)
+        finite = all(math.isfinite(s / self.resolution) for s in spans)
+        if not finite or self.height < 1 or self.width < 1:
+            raise ConfigError("resolution", "derived grid shape is empty or infinite")
 
     @property
     def height(self) -> int:

@@ -12,11 +12,12 @@ one vector of length 5*C.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import maximum_filter
 
+from .config import ConfigError, check_fields
 from .grid import (
     FeatureMap,
     bilinear_sample,
@@ -28,7 +29,7 @@ from .grid import (
 from .pairing import Box2D
 
 
-class InvalidKernelError(ValueError):
+class InvalidKernelError(ConfigError):
     """Peak kernel must be an odd cell count >= 3."""
 
 
@@ -102,19 +103,14 @@ class RoiFeature:
 @dataclass(frozen=True)
 class InstanceConfig:
     kernel: int = 3
-    score_thresh: float = 0.1
-    max_n: int = 200
-    default_dims: tuple[float, float, float] = (2.0, 2.0, 2.0)
+    score_thresh: float = field(default=0.1, metadata={"ge": 0, "le": 1})
+    max_n: int = field(default=200, metadata={"ge": 0})
+    default_dims: tuple[float, float, float] = field(default=(2.0, 2.0, 2.0), metadata={"gt": 0})
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kernel < 3 or self.kernel % 2 == 0:
-            raise InvalidKernelError(f"kernel must be odd and >= 3, got {self.kernel}")
-        if not 0.0 <= self.score_thresh <= 1.0:
-            raise ValueError(f"score_thresh must be in [0, 1], got {self.score_thresh}")
-        if self.max_n < 0:
-            raise ValueError("max_n must be non-negative")
-        if min(self.default_dims) <= 0:
-            raise ValueError(f"default_dims must be positive, got {self.default_dims}")
+            raise InvalidKernelError("kernel", f"must be odd and >= 3, got {self.kernel}")
 
 
 def sparse_max_pool_peaks(
@@ -133,7 +129,7 @@ def sparse_max_pool_peaks(
     default_dims.
     """
     if kernel < 3 or kernel % 2 == 0:
-        raise InvalidKernelError(f"kernel must be odd and >= 3, got {kernel}")
+        raise InvalidKernelError("kernel", f"must be odd and >= 3, got {kernel}")
     meta = heatmap.meta
     h, w = meta.height, meta.width
     half = kernel // 2

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the fast
 paths: exact rational grid math, arbitrary-precision transforms and loss
 values, explicit 4-term bilinear interpolation, exhaustive peak scanning,
-brute-force KNN, rasterized IoU, and central finite differences for the
-loss gradients.
+brute-force KNN, per-candidate alignment scores, rasterized IoU, and
+central finite differences for the loss gradients.
 
 Everything here favors obviousness over speed.  None of it is used by the
 pipeline itself; the CLI exposes these as pass/fail check commands."""
@@ -15,8 +15,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .contrastive import LossConfig, info_nce
+from .alignfuse import AlignConfig, AlignEntry
+from .contrastive import LossConfig, ProjectionHead, cosine_sim, info_nce
 from .grid import FeatureMap, GridMeta, PlanarTransform
+from .instance import RoiFeature
 from .pairing import Box2D
 
 
@@ -139,6 +141,33 @@ def knn_brute(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     d2 = [float(np.sum((p - q) ** 2)) for p in pts]
     order = sorted(range(len(pts)), key=lambda i: (d2[i], i))
     return order[: min(k, len(pts))]
+
+
+def align(
+    lidar_inst: RoiFeature,
+    neighbors: list[RoiFeature],
+    head_lidar: ProjectionHead,
+    head_camera: ProjectionHead,
+    cfg: AlignConfig = AlignConfig(),
+) -> AlignEntry:
+    """Score one LiDAR instance against a non-empty, ordered camera candidate
+    list one candidate at a time and pick the argmax (ties -> lower rank):
+    the reference for align_instances' batched scores."""
+    el = head_lidar.project(lidar_inst.vector)
+    scores = np.empty(len(neighbors))
+    for rank, cand in enumerate(neighbors):
+        ec = head_camera.project(cand.vector)
+        if cfg.metric == "cosine":
+            scores[rank] = cosine_sim(el, ec)
+        else:
+            scores[rank] = float(np.dot(el, ec))
+    return AlignEntry(
+        lidar_index=lidar_inst.proposal_id,
+        neighbor_indices=tuple(c.proposal_id for c in neighbors),
+        scores=scores,
+        # np.argmax returns the first maximum, i.e. the lowest rank
+        chosen_rank=int(np.argmax(scores)),
+    )
 
 
 def iou_raster(a: Box2D, b: Box2D, cell: float = 0.01) -> float:

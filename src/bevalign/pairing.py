@@ -13,8 +13,11 @@ IoU is axis-aligned throughout; proposal yaw never enters the box geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
+
+from .config import check_fields
 
 
 class EmptyInputError(ValueError):
@@ -121,17 +124,12 @@ class PairConfig:
     camera box, noise-free anchor) or "lidar" (the LiDAR box center).
     """
 
-    tau_iou: float = 0.1
-    k_negatives: int = 8
-    anchor: str = "camera"
+    tau_iou: float = field(default=0.1, metadata={"gt": 0, "le": 1})
+    k_negatives: int = field(default=8, metadata={"ge": 1})
+    anchor: Literal["camera", "lidar"] = "camera"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau_iou <= 1.0:
-            raise ValueError(f"tau_iou must be in (0, 1], got {self.tau_iou}")
-        if self.k_negatives < 1:
-            raise ValueError(f"k_negatives must be >= 1, got {self.k_negatives}")
-        if self.anchor not in ("camera", "lidar"):
-            raise ValueError(f"anchor must be 'camera' or 'lidar', got {self.anchor!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -155,23 +153,6 @@ class PairSet:
                 raise ValueError("negative list contains the paired camera index")
             if len(set(negs)) != len(negs):
                 raise ValueError("negative list contains duplicates")
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_iou": self.tau_iou,
-            "K": self.k_negatives,
-            "positives": [list(p) for p in self.positives],
-            "negatives": [list(n) for n in self.negatives],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairSet":
-        return cls(
-            tau_iou=d["tau_iou"],
-            k_negatives=d["K"],
-            positives=tuple((int(i), int(j)) for i, j in d["positives"]),
-            negatives=tuple(tuple(int(k) for k in n) for n in d["negatives"]),
-        )
 
 
 def build_pairs(

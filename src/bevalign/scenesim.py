@@ -29,11 +29,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from .alignfuse import PipelineOutput
-from .config import from_dict, to_dict
+from .config import ConfigError, check_fields, from_dict, to_dict
 from .grid import (
     FeatureMap,
     GridMeta,
@@ -122,16 +123,12 @@ class NoiseSpec:
     """Noise magnitudes: per-axis translation sigma (m), rotation sigma
     (rad), and sensor lag (s)."""
 
-    sigma_t: float = 0.0
-    sigma_r: float = 0.0
-    lag: float = 0.0
+    sigma_t: float = field(default=0.0, metadata={"ge": 0})
+    sigma_r: float = field(default=0.0, metadata={"ge": 0})
+    lag: float = field(default=0.0, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
-        for name, value in to_dict(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.sigma_t < 0 or self.sigma_r < 0 or self.lag < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -157,43 +154,54 @@ class AppliedNoise:
 class SceneConfig:
     """Knobs for generation.  Defaults give 10 objects in tight clusters so
     nearest-position matching is genuinely ambiguous once noise moves the
-    camera side around."""
+    camera side around.  A negative length (m) or speed (m/s) means nothing,
+    but margin may be negative: the placement box then reaches past the grid."""
 
-    n_objects: int = 10
-    d_z: int = 8
-    sigma_f: float = 0.05
-    feature_seed: int = 7770
-    c_lidar: int = 32
-    c_camera: int = 32
+    n_objects: int = field(default=10, metadata={"ge": 1})
+    d_z: int = field(default=8, metadata={"ge": 1})
+    # in units of the unit-variance signal: from 1e7 up the signal is below
+    # one float32 step of the map, and 1e300 overflows it
+    sigma_f: float = field(default=0.05, metadata={"ge": 0, "le": 1e6})
+    # numpy's default_rng takes no negative seed
+    feature_seed: int = field(default=7770, metadata={"ge": 0})
+    c_lidar: int = field(default=32, metadata={"ge": 1})
+    c_camera: int = field(default=32, metadata={"ge": 1})
     meta: GridMeta = field(default_factory=default_meta)
-    layout: str = "clustered"
-    min_separation: float = 1.5
-    cluster_low: int = 2
-    cluster_high: int = 4
-    cluster_radius: float = 2.0
-    anchor_separation: float = 9.0
+    layout: Literal["clustered", "uniform"] = "clustered"
+    min_separation: float = field(default=1.5, metadata={"gt": 0})
+    cluster_low: int = field(default=2, metadata={"ge": 1})
+    cluster_high: int = field(default=4, metadata={"ge": 1})
+    cluster_radius: float = field(default=2.0, metadata={"ge": 0})
+    anchor_separation: float = field(default=9.0, metadata={"ge": 0})
     margin: float = 6.0
-    dims_low: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    dims_high: tuple[float, float, float] = (1.8, 1.8, 2.2)
-    v_max: float = 5.0
-    v_min: float = 1.0
-    static_frac: float = 0.3
-    bump_sigma_feat: float = 0.5
-    bump_sigma_heat: float = 0.75
-    truncation: float = 4.0
-    max_attempts: int = 1000
+    dims_low: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0), metadata={"gt": 0})
+    dims_high: tuple[float, float, float] = field(default=(1.8, 1.8, 2.2), metadata={"gt": 0})
+    v_max: float = field(default=5.0, metadata={"ge": 0})
+    v_min: float = field(default=1.0, metadata={"ge": 0})
+    static_frac: float = field(default=0.3, metadata={"ge": 0, "le": 1})
+    # sigma^2 underflows to 0 below about 1e-162, and (truncation * sigma)^2
+    # overflows above about 1e154
+    bump_sigma_feat: float = field(default=0.5, metadata={"ge": 1e-100, "le": 1e50})
+    bump_sigma_heat: float = field(default=0.75, metadata={"ge": 1e-100, "le": 1e50})
+    truncation: float = field(default=4.0, metadata={"gt": 0, "le": 1e50})
+    max_attempts: int = field(default=1000, metadata={"ge": 1})
 
     def __post_init__(self) -> None:
-        if self.n_objects < 1:
-            raise ValueError("n_objects must be >= 1")
-        if self.d_z < 1:
-            raise ValueError("d_z must be >= 1")
-        if self.sigma_f < 0:
-            raise ValueError("sigma_f must be non-negative")
-        if self.layout not in ("clustered", "uniform"):
-            raise ValueError(f"layout must be 'clustered' or 'uniform', got {self.layout!r}")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
+        check_fields(self)
+        if self.cluster_low > self.cluster_high:
+            raise ConfigError("cluster_high", f"must be >= cluster_low, got {self.cluster_high}")
+        if self.v_min > self.v_max:
+            raise ConfigError("v_max", f"must be >= v_min, got {self.v_max}")
+        if any(lo > hi for lo, hi in zip(self.dims_low, self.dims_high)):
+            raise ConfigError("dims_high", f"must be >= dims_low per axis, got {self.dims_high}")
+        x_lo, x_hi, y_lo, y_hi = self.placement_box()
+        if not all(lo <= hi and math.isfinite(hi - lo) for lo, hi in [(x_lo, x_hi), (y_lo, y_hi)]):
+            raise ConfigError("margin", f"leaves no finite placement box, got {self.margin}")
+
+    def placement_box(self) -> tuple[float, float, float, float]:
+        """(x_lo, x_hi, y_lo, y_hi): the grid extent shrunk by the margin."""
+        m, pad = self.meta, self.margin
+        return m.x_min + pad, m.x_max - pad, m.y_min + pad, m.y_max - pad
 
 
 @dataclass(frozen=True)
@@ -273,8 +281,7 @@ def _place_centers(
     rng: np.random.Generator, cfg: SceneConfig
 ) -> list[tuple[tuple[float, float], tuple[float, float, float]]]:
     meta = cfg.meta
-    x_lo, x_hi = meta.x_min + cfg.margin, meta.x_max - cfg.margin
-    y_lo, y_hi = meta.y_min + cfg.margin, meta.y_max - cfg.margin
+    x_lo, x_hi, y_lo, y_hi = cfg.placement_box()
     placed: list[tuple[tuple[float, float], tuple[float, float, float]]] = []
 
     def try_place(propose) -> bool:
@@ -297,7 +304,10 @@ def _place_centers(
         return placed
 
     anchors: list[tuple[float, float]] = []
+    empty_clusters = 0  # in a row; bounds the loop where anchors always fit but objects never do
     while len(placed) < cfg.n_objects:
+        if empty_clusters == cfg.max_attempts:
+            raise PlacementFailureError(f"{empty_clusters} clusters in a row took no object")
         anchor = None
         for _ in range(cfg.max_attempts):
             cand = (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
@@ -320,10 +330,12 @@ def _place_centers(
             angle = rng.uniform(0.0, 2.0 * np.pi)
             return (anchor[0] + radius * np.cos(angle), anchor[1] + radius * np.sin(angle))
 
+        n_before = len(placed)
         for _ in range(size):
             if not try_place(near_anchor):
                 # the cluster is full; the objects left start a new one
                 break
+        empty_clusters = empty_clusters + 1 if len(placed) == n_before else 0
     return placed
 
 
@@ -554,17 +566,6 @@ class Metrics:
             raise ValueError(f"recall must lie in [0, 1], got {self.recall_at_1}")
         if self.positive_pair_count < 0 or self.negative_pair_count < 0:
             raise ValueError("pair counts must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "recall_at_1": self.recall_at_1,
-            "mean_align_loss": self.mean_align_loss,
-            "center_err_before": self.center_err_before,
-            "center_err_after": self.center_err_after,
-            "positive_pair_count": self.positive_pair_count,
-            "negative_pair_count": self.negative_pair_count,
-            "n_lidar_matched": self.n_lidar_matched,
-        }
 
 
 def assign_proposals(

@@ -9,9 +9,7 @@ from bevalign.alignfuse import (
     AlignConfig,
     AlignEntry,
     AlignmentResult,
-    EmptyNeighborhoodError,
     FusedMap,
-    align,
     align_instances,
     fuse,
     reduce_roi_vector,
@@ -19,7 +17,7 @@ from bevalign.alignfuse import (
 from bevalign.contrastive import ProjectionHead, ZeroVectorError, cosine_sim
 from bevalign.grid import FeatureMap, GridMeta, MetaMismatchError, load_feature_map
 from bevalign.instance import Proposal, RoiFeature
-from bevalign.oracles import knn_brute
+from bevalign.oracles import align, knn_brute
 from bevalign.pairing import Box2D
 
 D = 10  # 5 sample blocks x 2 channels
@@ -76,7 +74,7 @@ class TestAlign:
 
     def test_empty_candidate_list_raises(self):
         lidar = feat(0, 0.0, 0.0, np.ones(D), "lidar")
-        with pytest.raises(EmptyNeighborhoodError):
+        with pytest.raises(ValueError):
             align(lidar, [], *EYE_HEADS)
 
     def test_entry_validation(self):
@@ -92,8 +90,6 @@ class TestAlign:
             AlignConfig(k_neighbors=0)
         with pytest.raises(ValueError):
             AlignConfig(metric="euclidean")
-        with pytest.raises(ValueError):
-            AlignConfig(variant="oracle")
 
 
 class TestAlignInstances:
@@ -129,7 +125,7 @@ class TestAlignInstances:
         lidar = random_feats(4, 4, "lidar")
         camera = random_feats(6, 5, "camera")
         result = align_instances(
-            lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=3, variant="nearest")
+            lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=3), nearest=True
         )
         by_id = {c.proposal_id: c for c in camera}
         for lf, entry in zip(lidar, result.entries):
@@ -167,15 +163,15 @@ class TestAlignInstances:
             assert align_instances(lidar, scaled, *EYE_HEADS, cfg).chosen() == base
 
 
-def reference_alignment(lidar, camera, head_lidar, head_camera, cfg):
+def reference_alignment(lidar, camera, head_lidar, head_camera, cfg, nearest):
     """The per-instance path align_instances replaces: brute-force neighbors,
-    then align() per LiDAR instance, or minus the squared distance for the
-    nearest variant."""
+    then the oracle align() per LiDAR instance, or minus the squared distance
+    for the nearest-neighbor baseline."""
     centers = np.asarray([c.center for c in camera])
     entries = []
     for lf in lidar:
         cands = [camera[r] for r in knn_brute(centers, lf.center, cfg.k_neighbors)]
-        if cfg.variant == "embedding":
+        if not nearest:
             entries.append(align(lf, cands, head_lidar, head_camera, cfg))
             continue
         d = [-float(np.sum((np.asarray(c.center) - np.asarray(lf.center)) ** 2)) for c in cands]
@@ -202,20 +198,22 @@ def lattice_scene(seed):
 
 
 class TestAlignInstancesOracle:
+    # the scorer: head similarity, or the nearest-neighbor baseline
     @pytest.mark.parametrize("variant", ["embedding", "nearest"])
     @pytest.mark.parametrize("metric", ["cosine", "dot"])
     @pytest.mark.parametrize("k", [1, 3, None])  # None: more than the camera count
     def test_matches_per_instance_align(self, metric, variant, k):
+        nearest = variant == "nearest"
         for seed in range(30):
             lidar, camera, heads = lattice_scene(seed)
-            cfg = AlignConfig(k_neighbors=k or len(camera) + 4, metric=metric, variant=variant)
-            got = align_instances(lidar, camera, *heads, cfg).entries
-            want = reference_alignment(lidar, camera, *heads, cfg)
+            cfg = AlignConfig(k_neighbors=k or len(camera) + 4, metric=metric)
+            got = align_instances(lidar, camera, *heads, cfg, nearest=nearest).entries
+            want = reference_alignment(lidar, camera, *heads, cfg, nearest)
             assert len(got) == len(want) == len(lidar)
             for g, w in zip(got, want):
                 assert g.lidar_index == w.lidar_index
                 assert g.neighbor_indices == w.neighbor_indices
-                if variant == "nearest":
+                if nearest:
                     assert np.array_equal(g.scores, w.scores)
                     assert g.chosen_rank == w.chosen_rank == 0
                     continue

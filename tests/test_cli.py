@@ -184,7 +184,7 @@ class TestRunCommand:
         [
             ("scene.dims_low", "[1, 1]", "scene.dims_low"),
             ("instance.default_dims", "[2, 2]", "instance.default_dims"),
-            ("instance.default_dims", "[0, 2, 2]", "instance"),
+            ("instance.default_dims", "[0, 2, 2]", "instance.default_dims"),
             ("scene.v_max", '"5"', "scene.v_max"),
             ("scene.bump_sigma_feat", "1e999", "scene.bump_sigma_feat"),
             ("scene.meta", json.dumps(GRID_54), "scene.meta"),
@@ -206,6 +206,35 @@ class TestRunCommand:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw).replace('"@VALUE@"', value))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config field '{named}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,values,named",
+        [
+            ("scene", {"cluster_low": 5, "cluster_high": 2}, "scene.cluster_high"),
+            ("scene", {"v_min": 9.0, "v_max": 1.0}, "scene.v_max"),
+            ("scene", {"dims_low": [-1.0, -1.0, -1.0]}, "scene.dims_low"),
+            ("scene", {"dims_low": [3.0, 3.0, 3.0]}, "scene.dims_high"),
+            ("scene", {"c_lidar": 0}, "scene.c_lidar"),
+            ("scene", {"max_attempts": 0}, "scene.max_attempts"),
+            ("scene", {"bump_sigma_feat": 0.0}, "scene.bump_sigma_feat"),
+            ("scene", {"truncation": -1.0}, "scene.truncation"),
+            ("scene", {"cluster_radius": -1.0}, "scene.cluster_radius"),
+            ("scene", {"margin": 60.0}, "scene.margin"),
+            ("scene", {"static_frac": 2.0}, "scene.static_frac"),
+            ("train", {"d_e": 0}, "train.d_e"),
+            ("align", {"variant": "nearest"}, "align"),
+            ("grid", {**GRID_54, "x_min": -1e308, "x_max": 1e308}, "grid.resolution"),
+        ],
+    )
+    def test_out_of_range_value_exits_two_and_names_its_field(
+        self, section, values, named, tmp_path, capsys
+    ):
+        raw = {**TINY_CFG, section: {**TINY_CFG.get(section, {}), **values}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"config field '{named}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

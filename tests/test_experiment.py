@@ -65,7 +65,7 @@ class TestParseConfig:
     def test_bad_value_names_the_section(self):
         with pytest.raises(ConfigError) as e:
             parse_config({"scene": {"n_objects": 0}})
-        assert e.value.field == "scene"
+        assert e.value.field == "scene.n_objects"
         with pytest.raises(ConfigError) as e:
             parse_config({"n_scenes": 0})
         assert e.value.field == "n_scenes"
@@ -93,7 +93,7 @@ class TestParseConfig:
         assert e.value.field == "noise_grid.sigma_t"
         with pytest.raises(ConfigError) as e:
             parse_config({"noise_grid": {"sigma_t": [-1.0]}})
-        assert e.value.field == "noise_grid"
+        assert e.value.field == "noise_grid.sigma_t"
 
     def test_json_lists_coerce_to_tuple_knobs(self):
         cfg = parse_config(
@@ -107,9 +107,9 @@ class TestParseConfig:
         assert cfg.instance.default_dims == (3.0, 3.0, 3.0)
 
     def test_grid_section_builds_the_meta(self):
-        cfg = parse_config(
-            {"grid": {"x_min": 0.0, "x_max": 9.0, "y_min": 0.0, "y_max": 9.0, "resolution": 1.0}}
-        )
+        grid = {"x_min": 0.0, "x_max": 9.0, "y_min": 0.0, "y_max": 9.0, "resolution": 1.0}
+        # the default 6 m margin would leave no placement box on a 9 m grid
+        cfg = parse_config({"grid": grid, "scene": {"margin": 1.0}})
         assert cfg.scene.meta.height == 9 and cfg.scene.meta.width == 9
 
     def test_loss_config_threads_into_training(self):
@@ -150,37 +150,46 @@ def grid_metas(draw):
     return GridMeta(x0, x0 + nx * res, y0, y0 + ny * res, res)
 
 
+@st.composite
+def scene_configs(draw):
+    """In-bound scenes: each low/high pair ordered, and a margin that leaves
+    a placement box."""
+    meta = draw(grid_metas())
+    half = min(meta.x_max - meta.x_min, meta.y_max - meta.y_min) / 2
+    cluster_low, dims_low, v_min = draw(st.integers(1, 5)), draw(dims), draw(positive)
+    return SceneConfig(
+        n_objects=draw(st.integers(2, 50)),
+        d_z=draw(st.integers(1, 32)),
+        sigma_f=draw(finite(0.0, 1.0)),
+        feature_seed=draw(st.integers(0, 2**63)),
+        c_lidar=draw(st.integers(1, 64)),
+        c_camera=draw(st.integers(1, 64)),
+        meta=meta,
+        layout=draw(st.sampled_from(["clustered", "uniform"])),
+        min_separation=draw(positive),
+        cluster_low=cluster_low,
+        cluster_high=draw(st.integers(cluster_low, 8)),
+        cluster_radius=draw(positive),
+        anchor_separation=draw(positive),
+        margin=draw(finite(-20.0, 0.9 * half)),
+        dims_low=dims_low,
+        dims_high=tuple(d + draw(finite(0.0, 10.0)) for d in dims_low),
+        v_max=v_min + draw(finite(0.0, 100.0)),
+        v_min=v_min,
+        static_frac=draw(finite(0.0, 1.0)),
+        bump_sigma_feat=draw(positive),
+        bump_sigma_heat=draw(positive),
+        truncation=draw(positive),
+        max_attempts=draw(st.integers(1, 5000)),
+    )
+
+
 configs = st.builds(
     ExperimentConfig,
     n_scenes=st.integers(1, 10**6),
     base_seed=st.integers(0, 2**64 - 1),
     out_dir=st.text(max_size=20),
-    scene=st.builds(
-        SceneConfig,
-        n_objects=st.integers(2, 50),
-        d_z=st.integers(1, 32),
-        sigma_f=finite(0.0, 1.0),
-        feature_seed=st.integers(0, 2**63),
-        c_lidar=st.integers(1, 64),
-        c_camera=st.integers(1, 64),
-        meta=grid_metas(),
-        layout=st.sampled_from(["clustered", "uniform"]),
-        min_separation=positive,
-        cluster_low=st.integers(1, 5),
-        cluster_high=st.integers(1, 8),
-        cluster_radius=positive,
-        anchor_separation=positive,
-        margin=finite(0.0, 20.0),
-        dims_low=dims,
-        dims_high=dims,
-        v_max=positive,
-        v_min=positive,
-        static_frac=finite(0.0, 1.0),
-        bump_sigma_feat=positive,
-        bump_sigma_heat=positive,
-        truncation=positive,
-        max_attempts=st.integers(1, 5000),
-    ),
+    scene=scene_configs(),
     instance=st.builds(
         InstanceConfig,
         kernel=st.integers(1, 5).map(lambda k: 2 * k + 1),
@@ -211,7 +220,6 @@ configs = st.builds(
         AlignConfig,
         k_neighbors=st.integers(1, 32),
         metric=st.sampled_from(["cosine", "dot"]),
-        variant=st.sampled_from(["embedding", "nearest"]),
     ),
     noise_grid=st.lists(
         st.builds(NoiseSpec, sigma_t=finite(0.0, 2.0), sigma_r=finite(0.0, 0.1), lag=finite(0.0, 1.0)),

@@ -1,11 +1,16 @@
-"""Package surface: every exported name resolves, and every config knob
-has exactly one field."""
+"""Package surface: every exported name resolves, every config knob has
+exactly one field and a declared rule, and both ways of building a config
+enforce the same rules."""
 
 import dataclasses
+import math
 import typing
+
+import pytest
 
 import bevalign
 from bevalign import pairing
+from bevalign.config import ConfigError, field_types, to_dict
 
 
 def test_every_name_in_all_resolves():
@@ -34,3 +39,60 @@ def test_each_config_type_holds_exactly_one_field():
     walk(bevalign.ExperimentConfig, "")
     assert {t.__name__: p for t, p in seen.items() if len(p) > 1} == {}
     assert set(seen) >= {bevalign.SceneConfig, bevalign.GridMeta, bevalign.LossConfig}
+
+
+# Numeric knobs that declare no bound in their field metadata, each with the
+# rule that covers it instead.
+UNBOUNDED_KNOBS = {
+    "base_seed",  # any integer: hash64 folds it into 64 bits
+    # the grid extents: GridMeta checks them against each other
+    "scene.meta.x_min",
+    "scene.meta.x_max",
+    "scene.meta.y_min",
+    "scene.meta.y_max",
+    "scene.margin",  # may be negative; SceneConfig checks the placement box it leaves
+    "instance.kernel",  # odd and >= 3, checked by hand to raise InvalidKernelError
+}
+
+
+def config_knobs(cls, path=""):
+    """(dotted path, annotation, field) of every leaf knob under cls."""
+    for f in dataclasses.fields(cls):
+        tp = field_types(cls)[f.name]
+        inner = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else tp
+        if dataclasses.is_dataclass(inner):
+            yield from config_knobs(inner, f"{path}{f.name}.")
+        else:
+            yield f"{path}{f.name}", inner, f
+
+
+def test_every_numeric_knob_is_bounded_and_every_string_knob_is_a_choice():
+    unbounded, free_strings = set(), set()
+    for path, tp, f in config_knobs(bevalign.ExperimentConfig):
+        if tp in (int, float) and not f.metadata:
+            unbounded.add(path)
+        if tp is str:
+            free_strings.add(path)
+    assert unbounded == UNBOUNDED_KNOBS
+    assert free_strings == {"out_dir"}
+
+
+@pytest.mark.parametrize(
+    "cls,section,values",
+    [
+        (bevalign.SceneConfig, "scene", {"c_lidar": 0}),
+        (bevalign.SceneConfig, "scene", {"cluster_low": 3, "cluster_high": 2}),
+        (bevalign.TrainConfig, "train", {"step_size": math.inf}),
+        (bevalign.LossConfig, "loss", {"temperature": math.inf}),
+        (bevalign.LossConfig, "loss", {"mode": "euclidean"}),
+        (bevalign.InstanceConfig, "instance", {"kernel": 4}),
+        (bevalign.GridMeta, "grid", {**to_dict(bevalign.default_meta()), "resolution": 0.0}),
+    ],
+)
+def test_python_and_json_configs_fail_on_the_same_rule(cls, section, values):
+    with pytest.raises(ConfigError) as py:
+        cls(**values)
+    with pytest.raises(ConfigError) as js:
+        bevalign.parse_config({section: values})
+    assert js.value.field == f"{section}.{py.value.field}"
+    assert js.value.reason == py.value.reason

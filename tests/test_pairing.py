@@ -247,11 +247,6 @@ class TestBuildPairs:
             near = knn_brute(centers, (lidar[i].cx, lidar[i].cy), 3)
             assert list(negs) == [n for n in near if n != j][:2]
 
-    def test_dict_round_trip(self):
-        lidar, camera = self.make_boxes(5, jitter=0.3)
-        ps = build_pairs(lidar, camera, PairConfig())
-        assert PairSet.from_dict(ps.to_dict()) == ps
-
     def test_validation_rejects_bad_negatives(self):
         with pytest.raises(ValueError, match="paired camera index"):
             PairSet(tau_iou=0.1, k_negatives=2, positives=((0, 1),), negatives=((1, 2),))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bevalign.alignfuse import AlignEntry, AlignmentResult, PipelineOutput
+from bevalign.config import ConfigError, field_types, from_dict, to_dict
+from bevalign.experiment import ExperimentConfig, run_scene_pipeline
 from bevalign.grid import FeatureMap, GridMeta, PlanarTransform, world_to_grid
 from bevalign.instance import Proposal
 from bevalign.oracles import knn_brute
@@ -265,6 +267,59 @@ def render_cases(draw):
     sigma = draw(st.floats(0.2, 1.5))
     truncation = draw(st.floats(0.5, 4.0))
     return meta, centers, features, sigma, truncation
+
+
+# A scene section for a 16 m grid: three objects, some knobs at moderate
+# values, and up to two numbers from anywhere in the float range, non-finite
+# ones included.
+THREE_OBJECTS = {"n_objects": 3, "margin": 1.0}
+moderate_floats = st.floats(0.0, 10.0)
+small_counts = st.integers(-1, 4)
+SCENE_FLOATS = [name for name, tp in field_types(SceneConfig).items() if tp is float]
+scene_sections = st.builds(
+    lambda knobs, extremes: {**THREE_OBJECTS, **knobs, **extremes},
+    st.fixed_dictionaries(
+        # a small attempt cap keeps each infeasible placement quick to give up
+        {"max_attempts": st.integers(-1, 50)},
+        optional={
+            "n_objects": small_counts,
+            "d_z": small_counts,
+            "feature_seed": st.integers(-2, 2**64),
+            "c_lidar": small_counts,
+            "c_camera": small_counts,
+            "layout": st.sampled_from(["clustered", "uniform", "grid"]),
+            "cluster_low": small_counts,
+            "cluster_high": small_counts,
+            "dims_low": st.lists(st.one_of(moderate_floats, st.floats()), min_size=3, max_size=3),
+            "dims_high": st.lists(st.one_of(moderate_floats, st.floats()), min_size=3, max_size=3),
+            **{name: moderate_floats for name in SCENE_FLOATS},
+        },
+    ),
+    st.dictionaries(st.sampled_from(SCENE_FLOATS), st.floats(), max_size=2),
+)
+GRID_16 = to_dict(GridMeta(-8.0, 8.0, -8.0, 8.0, 1.0))
+THREE_UNIFORM = {**THREE_OBJECTS, "layout": "uniform", "max_attempts": 50}
+
+
+class TestAcceptedSceneConfigsRun:
+    # each example overflowed or underflowed inside gen_scene before its
+    # field had a bound
+    @example({**THREE_UNIFORM, "bump_sigma_feat": 1e300}, 0)
+    @example({**THREE_UNIFORM, "truncation": 1e300}, 0)
+    @example({**THREE_UNIFORM, "bump_sigma_heat": 1e-200}, 0)
+    @example({**THREE_UNIFORM, "sigma_f": 1e300}, 0)
+    @settings(max_examples=300, deadline=None)
+    @given(scene_sections, st.integers(0, 2**32))
+    def test_every_accepted_scene_config_runs_the_pipeline(self, section, seed):
+        try:
+            cfg = from_dict(SceneConfig, {**section, "meta": GRID_16}, "scene")
+        except ConfigError:
+            return
+        try:
+            scene = gen_scene(cfg, seed)
+        except PlacementFailureError:
+            return  # an infeasible density: the documented exit 3
+        run_scene_pipeline(scene, ExperimentConfig())
 
 
 class TestRendering:
