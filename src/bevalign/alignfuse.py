@@ -68,12 +68,6 @@ class AlignEntry:
             return None
         return self.neighbor_indices[self.chosen_rank]
 
-    @property
-    def chosen_score(self) -> float | None:
-        if self.chosen_rank is None:
-            return None
-        return float(self.scores[self.chosen_rank])
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -166,10 +160,6 @@ class FusedMap:
     fmap: FeatureMap
     c_lidar: int
     c_camera: int
-
-    @property
-    def c_instance(self) -> int:
-        return self.fmap.channels - self.c_lidar - self.c_camera
 
     def channel_layout(self) -> dict:
         return {

@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .alignfuse import align_instances, fuse
 from .experiment import (
     ConfigError,
@@ -40,15 +38,7 @@ from .oracles import (
     check_peaks,
     gradcheck_info_nce,
 )
-from .scenesim import (
-    NoiseSpec,
-    apply_spatial_noise,
-    apply_temporal_noise,
-    gen_scene,
-    hash64,
-    load_scene,
-    save_scene,
-)
+from .scenesim import NoiseSpec, apply_noise, gen_scene, load_scene, save_scene
 from .contrastive import train_heads, write_loss_trace_csv
 
 ORACLE_RUNNERS = {
@@ -173,18 +163,12 @@ def _cmd_gen_scene(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
+        spec = NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
     except ConfigError as e:
         print(f"gen-scene: {e.field} {e.reason}", file=sys.stderr)
         return 2
     try:
-        scene = gen_scene(cfg.scene, args.seed)
-        if args.sigma_t > 0 or args.sigma_r > 0:
-            rng = np.random.default_rng(hash64(args.seed, 9001))
-            scene = apply_spatial_noise(scene, args.sigma_t, args.sigma_r, rng)
-        if args.lag > 0:
-            scene = apply_temporal_noise(scene, args.lag)
-        save_scene(args.out, scene)
+        save_scene(args.out, apply_noise(gen_scene(cfg.scene, args.seed), spec))
     except Exception as e:  # noqa: BLE001
         print(_runtime_message(e), file=sys.stderr)
         return 3

@@ -1,5 +1,5 @@
-"""Similarity measures, the instance-alignment InfoNCE loss with analytic
-gradients, and a plain gradient-descent trainer for the two per-modality
+"""The instance-alignment InfoNCE loss, batched over all pairs with
+closed-form gradients, and a descent trainer for the two per-modality
 projection heads.
 
 The loss for one positive pair (a, c) with negatives b_1..b_K is
@@ -9,12 +9,15 @@ The loss for one positive pair (a, c) with negatives b_1..b_K is
 with s either the raw dot product (default) or cosine similarity divided by
 a temperature.  The denominator holds the negatives only; a config flag adds
 the positive term for the canonical variant.  All log-sum-exp evaluations
-are max-shifted, and every gradient here is closed-form (finite differences
-are used only to verify them, never to train).
+are max-shifted.  `_pair_eval` is the one implementation the pipeline runs:
+training descends it and evaluation (experiment.mean_pair_loss) scores with
+it.  The per-pair reference it is checked against, with finite differences
+for its gradients, is oracles.info_nce.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -22,7 +25,6 @@ from typing import Literal
 import numpy as np
 
 from .config import check_fields
-from .grid import read_bevf, write_bevf
 from .pairing import PairSet
 
 ZERO_NORM_EPS = 1e-12
@@ -32,44 +34,8 @@ class ZeroVectorError(ValueError):
     """Cosine similarity is undefined for (near-)zero vectors."""
 
 
-class LengthMismatchError(ValueError):
-    """Vector operands must share a length."""
-
-
 class NoPairsError(ValueError):
     """Training requires at least one positive pair with a negative."""
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|); raises ZeroVectorError below norm 1e-12."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity of a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def sq_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance |a - b|^2."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
-def log_softmax_stable(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max-shifted (logsumexp, softmax) of a 1-D logit vector."""
-    logits = np.asarray(logits, dtype=np.float64)
-    m = float(np.max(logits))
-    shifted = np.exp(logits - m)
-    total = float(np.sum(shifted))
-    return m + np.log(total), shifted / total
 
 
 @dataclass(frozen=True)
@@ -84,92 +50,6 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Loss value with gradients matching each input's shape, plus the raw
-    similarity scores for tracing."""
-
-    value: float
-    grad_pos_lidar: np.ndarray
-    grad_pos_camera: np.ndarray
-    grad_negatives: np.ndarray
-    pos_sim: float
-    neg_sims: np.ndarray
-
-
-def _cos_parts(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine similarity of a zero vector")
-    return float(np.dot(a, b)), na, nb
-
-
-def info_nce(
-    pos_lidar: np.ndarray,
-    pos_camera: np.ndarray,
-    negatives: np.ndarray,
-    cfg: LossConfig = LossConfig(),
-) -> LossReport:
-    """Alignment loss for one positive pair against K >= 1 negatives, with
-    closed-form gradients for all K + 2 input vectors."""
-    a = np.asarray(pos_lidar, dtype=np.float64)
-    c = np.asarray(pos_camera, dtype=np.float64)
-    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if a.shape != c.shape or negs.shape[1] != a.shape[0]:
-        raise LengthMismatchError(
-            f"incompatible shapes: pos {a.shape}/{c.shape}, negs {negs.shape}"
-        )
-    k = negs.shape[0]
-    if k < 1:
-        raise ValueError("at least one negative required")
-
-    if cfg.mode == "dot":
-        s_pos = float(np.dot(a, c))
-        n = negs @ a
-        ds_pos_da, ds_pos_dc = c, a
-        dn_da = negs  # row i: d n_i / d a
-        dn_db = np.broadcast_to(a, negs.shape)  # d n_i / d b_i
-    else:
-        dot_pos, na, nc = _cos_parts(a, c)
-        cos_pos = dot_pos / (na * nc)
-        s_pos = cos_pos / cfg.temperature
-        nb = np.linalg.norm(negs, axis=1)
-        if np.any(nb < ZERO_NORM_EPS):
-            raise ZeroVectorError("cosine similarity of a zero vector")
-        dots = negs @ a
-        cos_n = dots / (na * nb)
-        n = cos_n / cfg.temperature
-        ds_pos_da = (c / (na * nc) - cos_pos * a / (na * na)) / cfg.temperature
-        ds_pos_dc = (a / (na * nc) - cos_pos * c / (nc * nc)) / cfg.temperature
-        dn_da = (negs / (na * nb)[:, None] - np.outer(cos_n / (na * na), a)) / cfg.temperature
-        dn_db = (a[None, :] / (na * nb)[:, None] - (cos_n / nb**2)[:, None] * negs) / cfg.temperature
-
-    if cfg.include_positive_in_denominator:
-        lse, sigma = log_softmax_stable(np.concatenate(([s_pos], n)))
-        sigma_pos, sigma_n = float(sigma[0]), sigma[1:]
-    else:
-        lse, sigma_n = log_softmax_stable(n)
-        sigma_pos = 0.0
-
-    value = -s_pos + lse
-    grad_a = (sigma_pos - 1.0) * ds_pos_da + sigma_n @ dn_da
-    if cfg.mode == "dot" and not cfg.include_positive_in_denominator:
-        grad_c = -a  # exact negation by construction
-    else:
-        grad_c = (sigma_pos - 1.0) * ds_pos_dc
-    grad_negs = sigma_n[:, None] * dn_db
-
-    return LossReport(
-        value=float(value),
-        grad_pos_lidar=grad_a,
-        grad_pos_camera=grad_c,
-        grad_negatives=np.asarray(grad_negs, dtype=np.float64),
-        pos_sim=s_pos,
-        neg_sims=np.asarray(n, dtype=np.float64),
-    )
 
 
 @dataclass(frozen=True)
@@ -198,13 +78,6 @@ class ProjectionHead:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weights
-
-    def save(self, path: str | Path) -> None:
-        write_bevf(path, self.weights[:, :, None].astype(np.float32))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProjectionHead":
-        return cls(read_bevf(path)[:, :, 0].astype(np.float64))
 
 
 def init_heads(
@@ -379,7 +252,9 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on the mean pair loss.
 
     Each step projects every referenced camera row once and sums its
-    gradient over all pairs that use it.  The loss trace has length
+    gradient over all pairs that use it.  A step is taken only if the loss
+    after it is finite and not above the loss before it; otherwise its size
+    is halved and the step tried again.  The loss trace has length
     steps + 1; entry 0 is the loss at the seeded initialization and entry t
     the loss after t updates.  Deterministic for a fixed (scenes, cfg)."""
     xl, xu, pos, neg, mask = _flatten_pairs(scenes)
@@ -396,16 +271,26 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     trace = np.empty(cfg.steps + 1)
     pos_trace = np.empty(cfg.steps + 1)
     neg_trace = np.empty(cfg.steps + 1)
-    xlt, xut, step_size = xl.T, xu.T, cfg.step_size
+    xlt, xut = xl.T, xu.T
+    loss, pos_sim, neg_sim, del_, deu = _pair_eval(xl @ wl, xu @ wc, batch, cfg.loss)
     for step in range(cfg.steps + 1):
-        loss, pos_sim, neg_sim, del_, deu = _pair_eval(xl @ wl, xu @ wc, batch, cfg.loss)
-        trace[step] = loss
-        pos_trace[step] = pos_sim
-        neg_trace[step] = neg_sim
+        trace[step], pos_trace[step], neg_trace[step] = loss, pos_sim, neg_sim
         if step == cfg.steps:
             break
-        wl -= step_size * (xlt @ del_)
-        wc -= step_size * (xut @ deu)
+        gl, gc = xlt @ del_, xut @ deu
+        eta = cfg.step_size
+        while True:
+            # Once eta * g underflows, the step changes no weight and its loss
+            # equals the current one, so a finite loss and gradient end this.
+            new_wl, new_wc = wl - eta * gl, wc - eta * gc
+            proposed = _pair_eval(xl @ new_wl, xu @ new_wc, batch, cfg.loss)
+            if math.isfinite(proposed[0]) and proposed[0] <= loss:
+                break
+            if not (math.isfinite(loss) and np.isfinite(gl).all() and np.isfinite(gc).all()):
+                raise FloatingPointError(f"training step {step}: loss or gradient is not finite")
+            eta *= 0.5
+        wl, wc = new_wl, new_wc
+        loss, pos_sim, neg_sim, del_, deu = proposed
 
     return TrainResult(
         head_lidar=ProjectionHead(wl),

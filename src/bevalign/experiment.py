@@ -9,9 +9,9 @@ renders; noise is applied to evaluation scenes only.
 
 Determinism: (config, base_seed) fixes every byte of metrics.csv.  Scene
 seeds derive from hash64(base_seed, index); per-scene noise draws come from
-hash64(scene_seed, 9001) so a scene's perturbation does not depend on grid
-position.  Scenes run one at a time in scene-index order, and aggregation
-reduces in that order.
+the scene's own stream (scenesim.apply_noise), so a scene's perturbation
+does not depend on grid position.  Scenes run one at a time in scene-index
+order, and aggregation reduces in that order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .contrastive import (
     ScenePairs,
     TrainConfig,
     TrainResult,
-    info_nce,
+    _Batch,
+    _flatten_pairs,
+    _pair_eval,
     init_heads,
     train_heads,
     write_loss_trace_csv,
@@ -41,18 +43,17 @@ from .config import ConfigError, check_fields, field_types, from_dict, to_dict
 from .instance import InstanceConfig, Proposal, RoiFeature, extract_instances
 from .pairing import PairConfig, PairSet, build_pairs
 from .scenesim import (
+    NOISE_STREAM_SALT,  # noqa: F401 - re-exported; bench/worker.py reads it here
     Metrics,
     NoiseSpec,
     Scene,
     SceneConfig,
-    apply_spatial_noise,
-    apply_temporal_noise,
+    apply_noise,
     eval_alignment,
     gen_scene,
     hash64,
 )
 
-NOISE_STREAM_SALT = 9001
 VARIANTS = ("naive", "untrained", "trained")
 
 
@@ -166,24 +167,19 @@ def scene_pairs_for_training(pipe: ScenePipeline) -> ScenePairs | None:
 
 
 def mean_pair_loss(
-    pipe: ScenePipeline,
+    material: ScenePairs | None,
     head_l: ProjectionHead,
     head_c: ProjectionHead,
     loss_cfg: LossConfig,
 ) -> float:
-    """Mean contrastive loss over this scene's positive pairs under the
-    given heads; 0.0 when the scene yielded no usable pair."""
-    if pipe.pairs is None:
+    """Mean contrastive loss over a scene's positive pairs under the given
+    heads, by the batched loss that training descends; 0.0 when the scene
+    yielded no pair with a negative."""
+    if material is None or not any(material.pairs.negatives):
         return 0.0
-    values = []
-    for (i, j), negs in zip(pipe.pairs.positives, pipe.pairs.negatives):
-        if not negs:
-            continue
-        el = head_l.project(pipe.lidar_feats[i].vector)
-        ec = head_c.project(pipe.camera_feats[j].vector)
-        en = np.asarray([head_c.project(pipe.camera_feats[n].vector) for n in negs])
-        values.append(info_nce(el, ec, en, loss_cfg).value)
-    return float(np.mean(values)) if values else 0.0
+    xl, xu, pos, neg, mask = _flatten_pairs([material])
+    batch = _Batch.build(pos, neg, mask, len(xu), head_l.d_e, loss_cfg)
+    return _pair_eval(xl @ head_l.weights, xu @ head_c.weights, batch, loss_cfg)[0]
 
 
 def evaluate_scene(
@@ -193,6 +189,7 @@ def evaluate_scene(
 ) -> dict[str, Metrics]:
     """Metrics for each variant on one (possibly noisy) scene."""
     out: dict[str, Metrics] = {}
+    material = scene_pairs_for_training(pipe)
     # Variants may share a head pair ("naive" reuses "untrained"); its loss is
     # computed once.
     losses: dict[tuple[int, int], float] = {}
@@ -200,7 +197,7 @@ def evaluate_scene(
         head_l, head_c = heads[variant]
         key = (id(head_l), id(head_c))
         if key not in losses:
-            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.train.loss)
+            losses[key] = mean_pair_loss(material, head_l, head_c, cfg.train.loss)
         nearest = variant == "naive"
         alignment = align_instances(
             pipe.lidar_feats, pipe.camera_feats, head_l, head_c, cfg.align, nearest=nearest
@@ -255,12 +252,6 @@ class RunReport:
         }
 
 
-def _noisy_scene(scene: Scene, spec: NoiseSpec) -> Scene:
-    rng = np.random.default_rng(hash64(scene.seed, NOISE_STREAM_SALT))
-    noisy = apply_spatial_noise(scene, spec.sigma_t, spec.sigma_r, rng)
-    return apply_temporal_noise(noisy, spec.lag, rng)
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     """Train once on the clean train split, then sweep the noise grid over
     the eval split for all three variants."""
@@ -292,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     def eval_one(i: int) -> list[dict[str, Metrics]]:
         scene = gen_scene(cfg.scene, seeds[i])
         return [
-            evaluate_scene(run_scene_pipeline(_noisy_scene(scene, spec), cfg), heads, cfg)
+            evaluate_scene(run_scene_pipeline(apply_noise(scene, spec), cfg), heads, cfg)
             for spec in cfg.noise_grid
         ]
 

@@ -69,9 +69,6 @@ class GridMeta:
     def width(self) -> int:
         return int(round((self.x_max - self.x_min) / self.resolution))
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
 
 def default_meta() -> GridMeta:
     """144 x 144 grid over [-54, 54]^2 meters at 0.75 m/cell."""
@@ -147,10 +144,6 @@ class PlanarTransform:
             c * other.tx - s * other.ty + self.tx,
             s * other.tx + c * other.ty + self.ty,
         )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.theta == 0.0 and self.tx == 0.0 and self.ty == 0.0
 
 
 def identity_transform() -> PlanarTransform:

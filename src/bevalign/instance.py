@@ -105,7 +105,10 @@ class InstanceConfig:
     kernel: int = 3
     score_thresh: float = field(default=0.1, metadata={"ge": 0, "le": 1})
     max_n: int = field(default=200, metadata={"ge": 0})
-    default_dims: tuple[float, float, float] = field(default=(2.0, 2.0, 2.0), metadata={"gt": 0})
+    # at most 1e100, so a box's area stays at most 1e200 and IoU stays finite
+    default_dims: tuple[float, float, float] = field(
+        default=(2.0, 2.0, 2.0), metadata={"gt": 0, "le": 1e100}
+    )
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the fast
 paths: exact rational grid math, arbitrary-precision transforms and loss
-values, explicit 4-term bilinear interpolation, exhaustive peak scanning,
-brute-force KNN, per-candidate alignment scores, rasterized IoU, and
-central finite differences for the loss gradients.
+values, the per-pair InfoNCE loss with closed-form gradients, explicit
+4-term bilinear interpolation, exhaustive peak scanning, brute-force KNN,
+per-candidate alignment scores, rasterized IoU, and central finite
+differences for the loss gradients.
 
 Everything here favors obviousness over speed.  None of it is used by the
 pipeline itself; the CLI exposes these as pass/fail check commands."""
@@ -16,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from .alignfuse import AlignConfig, AlignEntry
-from .contrastive import LossConfig, ProjectionHead, cosine_sim, info_nce
+from .contrastive import ZERO_NORM_EPS, LossConfig, ProjectionHead, ZeroVectorError
 from .grid import FeatureMap, GridMeta, PlanarTransform
 from .instance import RoiFeature
 from .pairing import Box2D
@@ -76,6 +77,119 @@ def info_nce_value_mp(
             logits = [s_pos] + logits
         lse = mp.log(mp.fsum(mp.e**t for t in logits))
         return float(-s_pos + lse)
+
+
+class LengthMismatchError(ValueError):
+    """Vector operands must share a length."""
+
+
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b / (|a||b|); raises ZeroVectorError below norm 1e-12."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
+        raise ZeroVectorError("cosine similarity of a zero vector")
+    return float(np.dot(a, b) / (na * nb))
+
+
+def log_softmax_stable(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max-shifted (logsumexp, softmax) of a 1-D logit vector."""
+    logits = np.asarray(logits, dtype=np.float64)
+    m = float(np.max(logits))
+    shifted = np.exp(logits - m)
+    total = float(np.sum(shifted))
+    return m + np.log(total), shifted / total
+
+
+@dataclass(frozen=True)
+class LossReport:
+    """Loss value with gradients matching each input's shape, plus the raw
+    similarity scores for tracing."""
+
+    value: float
+    grad_pos_lidar: np.ndarray
+    grad_pos_camera: np.ndarray
+    grad_negatives: np.ndarray
+    pos_sim: float
+    neg_sims: np.ndarray
+
+
+def _cos_parts(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
+        raise ZeroVectorError("cosine similarity of a zero vector")
+    return float(np.dot(a, b)), na, nb
+
+
+def info_nce(
+    pos_lidar: np.ndarray,
+    pos_camera: np.ndarray,
+    negatives: np.ndarray,
+    cfg: LossConfig = LossConfig(),
+) -> LossReport:
+    """Alignment loss for one positive pair against K >= 1 negatives, with
+    closed-form gradients for all K + 2 input vectors: the per-pair
+    reference for contrastive's batched loss."""
+    a = np.asarray(pos_lidar, dtype=np.float64)
+    c = np.asarray(pos_camera, dtype=np.float64)
+    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if a.shape != c.shape or negs.shape[1] != a.shape[0]:
+        raise LengthMismatchError(
+            f"incompatible shapes: pos {a.shape}/{c.shape}, negs {negs.shape}"
+        )
+    k = negs.shape[0]
+    if k < 1:
+        raise ValueError("at least one negative required")
+
+    if cfg.mode == "dot":
+        s_pos = float(np.dot(a, c))
+        n = negs @ a
+        ds_pos_da, ds_pos_dc = c, a
+        dn_da = negs  # row i: d n_i / d a
+        dn_db = np.broadcast_to(a, negs.shape)  # d n_i / d b_i
+    else:
+        dot_pos, na, nc = _cos_parts(a, c)
+        cos_pos = dot_pos / (na * nc)
+        s_pos = cos_pos / cfg.temperature
+        nb = np.linalg.norm(negs, axis=1)
+        if np.any(nb < ZERO_NORM_EPS):
+            raise ZeroVectorError("cosine similarity of a zero vector")
+        dots = negs @ a
+        cos_n = dots / (na * nb)
+        n = cos_n / cfg.temperature
+        ds_pos_da = (c / (na * nc) - cos_pos * a / (na * na)) / cfg.temperature
+        ds_pos_dc = (a / (na * nc) - cos_pos * c / (nc * nc)) / cfg.temperature
+        dn_da = (negs / (na * nb)[:, None] - np.outer(cos_n / (na * na), a)) / cfg.temperature
+        dn_db = (a[None, :] / (na * nb)[:, None] - (cos_n / nb**2)[:, None] * negs) / cfg.temperature
+
+    if cfg.include_positive_in_denominator:
+        lse, sigma = log_softmax_stable(np.concatenate(([s_pos], n)))
+        sigma_pos, sigma_n = float(sigma[0]), sigma[1:]
+    else:
+        lse, sigma_n = log_softmax_stable(n)
+        sigma_pos = 0.0
+
+    value = -s_pos + lse
+    grad_a = (sigma_pos - 1.0) * ds_pos_da + sigma_n @ dn_da
+    if cfg.mode == "dot" and not cfg.include_positive_in_denominator:
+        grad_c = -a  # exact negation by construction
+    else:
+        grad_c = (sigma_pos - 1.0) * ds_pos_dc
+    grad_negs = sigma_n[:, None] * dn_db
+
+    return LossReport(
+        value=float(value),
+        grad_pos_lidar=grad_a,
+        grad_pos_camera=grad_c,
+        grad_negatives=np.asarray(grad_negs, dtype=np.float64),
+        pos_sim=s_pos,
+        neg_sims=np.asarray(n, dtype=np.float64),
+    )
 
 
 def bilinear_oracle(fmap: FeatureMap, q: tuple[float, float]) -> np.ndarray:

@@ -123,9 +123,11 @@ class NoiseSpec:
     """Noise magnitudes: per-axis translation sigma (m), rotation sigma
     (rad), and sensor lag (s)."""
 
-    sigma_t: float = field(default=0.0, metadata={"ge": 0})
+    # at most 1e100, as SceneConfig.v_max, so a drawn shift and a lag's
+    # displacement (speed * lag) stay at most about 1e200, far from overflow
+    sigma_t: float = field(default=0.0, metadata={"ge": 0, "le": 1e100})
     sigma_r: float = field(default=0.0, metadata={"ge": 0})
-    lag: float = field(default=0.0, metadata={"ge": 0})
+    lag: float = field(default=0.0, metadata={"ge": 0, "le": 1e100})
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -176,7 +178,8 @@ class SceneConfig:
     margin: float = 6.0
     dims_low: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0), metadata={"gt": 0})
     dims_high: tuple[float, float, float] = field(default=(1.8, 1.8, 2.2), metadata={"gt": 0})
-    v_max: float = field(default=5.0, metadata={"ge": 0})
+    # at most 1e100, as NoiseSpec.lag, so speed * lag stays at most 1e200
+    v_max: float = field(default=5.0, metadata={"ge": 0, "le": 1e100})
     v_min: float = field(default=1.0, metadata={"ge": 0})
     static_frac: float = field(default=0.3, metadata={"ge": 0, "le": 1})
     # sigma^2 underflows to 0 below about 1e-162, and (truncation * sigma)^2
@@ -549,6 +552,18 @@ def apply_temporal_noise(
         lag_total=old.lag_total + lag,
     )
     return _with_noise(scene, noise)
+
+
+# Salt of each scene's noise stream, hash64(scene seed, NOISE_STREAM_SALT).
+NOISE_STREAM_SALT = 9001
+
+
+def apply_noise(scene: Scene, spec: NoiseSpec) -> Scene:
+    """Spatial then temporal noise of spec, drawn from the scene's own noise
+    stream, so the perturbation depends only on the scene seed and spec."""
+    rng = np.random.default_rng(hash64(scene.seed, NOISE_STREAM_SALT))
+    noisy = apply_spatial_noise(scene, spec.sigma_t, spec.sigma_r, rng)
+    return apply_temporal_noise(noisy, spec.lag)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from bevalign.contrastive import LossConfig, TrainConfig, info_nce, init_heads
+from bevalign.contrastive import LossConfig, TrainConfig, init_heads
 from bevalign.experiment import (
     ExperimentConfig,
     metrics_csv,
@@ -30,6 +30,7 @@ from bevalign.oracles import (
     check_knn,
     check_peaks,
     gradcheck_info_nce,
+    info_nce,
 )
 from bevalign.pairing import PairConfig, build_pairs
 from bevalign.scenesim import (

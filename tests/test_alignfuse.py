@@ -14,10 +14,10 @@ from bevalign.alignfuse import (
     fuse,
     reduce_roi_vector,
 )
-from bevalign.contrastive import ProjectionHead, ZeroVectorError, cosine_sim
+from bevalign.contrastive import ProjectionHead, ZeroVectorError
 from bevalign.grid import FeatureMap, GridMeta, MetaMismatchError, load_feature_map
 from bevalign.instance import Proposal, RoiFeature
-from bevalign.oracles import align, knn_brute
+from bevalign.oracles import align, cosine_sim, knn_brute
 from bevalign.pairing import Box2D
 
 D = 10  # 5 sample blocks x 2 channels
@@ -48,7 +48,7 @@ class TestAlign:
         assert entry.lidar_index == 3
         assert entry.chosen_rank == 1
         assert entry.chosen_camera_index == 1
-        assert entry.chosen_score == pytest.approx(1.0)
+        assert entry.scores[entry.chosen_rank] == pytest.approx(1.0)
 
     def test_tied_scores_go_to_lower_rank(self):
         v = np.ones(D)
@@ -294,7 +294,7 @@ class TestFuse:
         assert fused.fmap.data.shape == (8, 8, 6)
         assert np.array_equal(fused.fmap.data[:, :, :2], lidar_map.data)
         assert np.array_equal(fused.fmap.data[:, :, 2:4], camera_map.data)
-        assert fused.c_lidar == 2 and fused.c_camera == 2 and fused.c_instance == 2
+        assert fused.c_lidar == 2 and fused.c_camera == 2
 
     def test_instance_footprint_matches_cell_oracle(self):
         meta, lidar_map, camera_map = make_maps()

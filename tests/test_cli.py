@@ -9,7 +9,14 @@ import pytest
 
 from bevalign.cli import main
 from bevalign.grid import load_feature_map
-from bevalign.scenesim import load_scene
+from bevalign.scenesim import (
+    SceneConfig,
+    apply_temporal_noise,
+    gen_scene,
+    hash64,
+    load_scene,
+    save_scene,
+)
 
 TINY_CFG = {
     "n_scenes": 2,
@@ -226,6 +233,15 @@ class TestRunCommand:
             ("train", {"d_e": 0}, "train.d_e"),
             ("align", {"variant": "nearest"}, "align"),
             ("grid", {**GRID_54, "x_min": -1e308, "x_max": 1e308}, "grid.resolution"),
+            # magnitudes whose products or areas overflowed: with lag 1e10 or
+            # 1e200, v_max 1e308 or 1e200 raised OverflowError; sigma_t 1e308
+            # overflowed a sum; 1e308 or 1e200 dims gave boxes no IoU
+            ("scene", {"v_max": 1e308}, "scene.v_max"),
+            ("scene", {"v_max": 1e200}, "scene.v_max"),
+            ("noise_grid", {"lag": [1e200]}, "noise_grid.lag"),
+            ("noise_grid", {"sigma_t": [1e308]}, "noise_grid.sigma_t"),
+            ("instance", {"default_dims": [1e308, 1e308, 1e308]}, "instance.default_dims"),
+            ("instance", {"default_dims": [1e200, 1e200, 1e200]}, "instance.default_dims"),
         ],
     )
     def test_out_of_range_value_exits_two_and_names_its_field(
@@ -272,6 +288,7 @@ class TestGenSceneCommand:
             ("--sigma-r", "inf", "sigma_r must be finite"),
             ("--lag", "inf", "lag must be finite"),
             ("--sigma-t", "-0.5", "non-negative"),
+            ("--sigma-t", "1e308", "sigma_t must be <= 1e+100"),
         ],
     )
     def test_bad_noise_flag_exits_two(self, flag, value, message, tmp_path, capsys):
@@ -326,6 +343,24 @@ class TestAlignCommand:
         assert sidecar["channel_layout"] == {
             "lidar": [0, 8], "camera": [8, 20], "instance": [20, 32],
         }
+
+    @pytest.mark.parametrize("base_seed,index", [(73, 11), (119, 9)])
+    def test_canonical_loss_descends_on_single_bundles(self, base_seed, index, tmp_path, capsys):
+        """Bundles on which fixed-size steps on the canonical loss diverged
+        until the heads were non-finite (exit 3), built as the bundle_align
+        benchmark builds its odd bundles: a default scene and a 0.5 s lag."""
+        scene = gen_scene(SceneConfig(), hash64(base_seed, index))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": {"include_positive_in_denominator": True}}))
+        bundle, out = tmp_path / "bundle", tmp_path / "out"
+        save_scene(bundle, apply_temporal_noise(scene, 0.5))
+        args = ["align", "--bundle", str(bundle), "--out", str(out), "--config", str(cfg)]
+        # ProjectionHead rejects non-finite weights, so exit 0 means finite heads
+        assert main(args) == 0, capsys.readouterr().err
+        entries = json.loads((out / "alignment.json").read_text())
+        assert np.isfinite([s for e in entries for s in e["scores"]]).all()
+        losses = np.loadtxt(out / "loss_trace.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.isfinite(losses).all() and (np.diff(losses) <= 0).all()
 
     def test_missing_bundle_is_a_runtime_failure(self, tmp_path, capsys):
         code = main(["align", "--bundle", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

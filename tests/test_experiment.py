@@ -14,7 +14,7 @@ import bevalign
 from bevalign import experiment
 from bevalign.alignfuse import AlignConfig
 from bevalign.config import to_dict
-from bevalign.contrastive import LossConfig, TrainConfig, info_nce, init_heads
+from bevalign.contrastive import LossConfig, TrainConfig, init_heads, train_heads
 from bevalign.experiment import (
     VARIANTS,
     ConfigError,
@@ -26,12 +26,14 @@ from bevalign.experiment import (
     parse_config,
     run_experiment,
     run_scene_pipeline,
+    scene_pairs_for_training,
     write_outputs,
 )
 from bevalign.grid import GridMeta
 from bevalign.instance import InstanceConfig
+from bevalign.oracles import info_nce
 from bevalign.pairing import PairConfig
-from bevalign.scenesim import NoiseSpec, SceneConfig, gen_scene
+from bevalign.scenesim import NoiseSpec, SceneConfig, apply_noise, gen_scene, hash64
 
 TINY_SCENE = SceneConfig(
     n_objects=4, d_z=4, c_lidar=6, c_camera=6, layout="uniform", min_separation=2.5
@@ -253,26 +255,71 @@ class TestLoadConfig:
         assert e.value.field.startswith("<line 1, col ")
 
 
+def assert_matches_per_pair_mean(material, head_l, head_c, loss_cfg):
+    """mean_pair_loss against the mean of oracles.info_nce over the pairs
+    with a negative.  The two sum in different orders, and even projecting
+    the negatives as one matrix instead of row by row moves the oracle's
+    last bit, so the check is to 1e-12 of max(1, |loss|)."""
+    values = [
+        info_nce(
+            head_l.project(material.lidar_vectors[i]),
+            head_c.project(material.camera_vectors[j]),
+            head_c.project(material.camera_vectors[list(negs)]),
+            loss_cfg,
+        ).value
+        for (i, j), negs in zip(material.pairs.positives, material.pairs.negatives)
+        if negs
+    ]
+    want = float(np.mean(values))
+    got = mean_pair_loss(material, head_l, head_c, loss_cfg)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# The criterion-5 experiment with base seed 1, on whose metrics.csv the batched
+# mean_pair_loss moved three mean_loss cells in their last digit.
+ROBUST_SEED_1 = ExperimentConfig(
+    n_scenes=100,
+    base_seed=1,
+    noise_grid=(NoiseSpec(sigma_t=0.5, sigma_r=0.01745), NoiseSpec(lag=0.5)),
+)
+
+
 class TestMeanPairLoss:
     def test_zero_when_scene_has_no_pairs(self):
         scene = gen_scene(TINY_SCENE, 1)
         pipe = ScenePipeline(scene, (), (), (), (), None)
         heads = init_heads(30, 4, 0)
-        assert mean_pair_loss(pipe, *heads, TINY.train.loss) == 0.0
+        assert mean_pair_loss(scene_pairs_for_training(pipe), *heads, TINY.train.loss) == 0.0
 
     def test_matches_per_pair_info_nce_mean(self):
-        pipe = run_scene_pipeline(gen_scene(TINY_SCENE, 1), TINY)
-        assert pipe.pairs is not None and pipe.pairs.positives
-        heads = init_heads(30, 8, 0)
-        got = mean_pair_loss(pipe, *heads, TINY.train.loss)
-        values = []
-        for (i, j), negs in zip(pipe.pairs.positives, pipe.pairs.negatives):
-            if negs:
-                el = heads[0].project(pipe.lidar_feats[i].vector)
-                ec = heads[1].project(pipe.camera_feats[j].vector)
-                en = np.asarray([heads[1].project(pipe.camera_feats[n].vector) for n in negs])
-                values.append(info_nce(el, ec, en, TINY.train.loss).value)
-        assert got == float(np.mean(values))
+        material = scene_pairs_for_training(run_scene_pipeline(gen_scene(TINY_SCENE, 1), TINY))
+        assert material is not None
+        assert_matches_per_pair_mean(material, *init_heads(30, 8, 0), TINY.train.loss)
+
+    def test_matches_per_pair_info_nce_mean_on_robust_scenes(self):
+        """Over all 200 (eval scene, noise point, heads) cases of this config
+        the worst relative difference was 5.8e-15.  The heads are the
+        untrained ones and, as in the experiment, dot-mode heads whose
+        training diverged, here on four train scenes."""
+        cfg = ROBUST_SEED_1
+
+        def material(i, spec=NoiseSpec()):
+            scene = apply_noise(gen_scene(cfg.scene, hash64(cfg.base_seed, i)), spec)
+            return scene_pairs_for_training(run_scene_pipeline(scene, cfg))
+
+        trained = train_heads([material(i) for i in (0, 2, 4, 6)], cfg.train)
+        heads = [
+            (trained.head_lidar, trained.head_camera),
+            init_heads(trained.head_lidar.d_in, cfg.train.d_e, cfg.train.seed),
+        ]
+        checked = 0
+        for i in range(1, 20, 2):
+            for spec in cfg.noise_grid:
+                m = material(i, spec)
+                for head_l, head_c in heads:
+                    assert_matches_per_pair_mean(m, head_l, head_c, cfg.train.loss)
+                    checked += 1
+        assert checked == 40
 
 
 @pytest.fixture(scope="module")

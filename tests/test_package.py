@@ -3,8 +3,12 @@ exactly one field and a declared rule, and both ways of building a config
 enforce the same rules."""
 
 import dataclasses
+import importlib
+import importlib.util
 import math
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,22 @@ def test_every_name_in_all_resolves():
 def test_knn_is_the_exported_neighbor_search():
     assert "knn" in bevalign.__all__
     assert bevalign.knn is pairing.knn
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # bench/spans.py patches these by name for `bench/run.py --trace 1`; a
+    # rename should fail here, not in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{func}"
+        for _, module, func, _, _ in spans.TRACED
+        if not callable(getattr(importlib.import_module(f"bevalign.{module}"), func, None))
+    ]
+    assert spans.TRACED and missing == []
 
 
 def test_each_config_type_holds_exactly_one_field():
