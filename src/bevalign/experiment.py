@@ -154,7 +154,7 @@ def run_scene_pipeline(scene: Scene, cfg: ExperimentConfig) -> ScenePipeline:
     cf = tuple(f for _, f in camera)
     pairs = None
     if lp and cp:
-        pairs = build_pairs([p.box for p in lp], [p.box for p in cp], cfg.pairing)
+        pairs = build_pairs([f.box for f in lf], [f.box for f in cf], cfg.pairing)
     return ScenePipeline(scene, lp, lf, cp, cf, pairs)
 
 

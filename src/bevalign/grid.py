@@ -20,6 +20,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ class MetaMismatchError(ValueError):
 class GridMeta:
     """Metric extent and resolution of a BEV grid.
 
-    height/width are derived as round(extent / resolution); construction
+    height/width are cached as round(extent / resolution); construction
     fails if the extent is degenerate or the derived shape is empty or infinite.
     """
 
@@ -61,11 +62,11 @@ class GridMeta:
         if not finite or self.height < 1 or self.width < 1:
             raise ConfigError("resolution", "derived grid shape is empty or infinite")
 
-    @property
+    @cached_property
     def height(self) -> int:
         return int(round((self.y_max - self.y_min) / self.resolution))
 
-    @property
+    @cached_property
     def width(self) -> int:
         return int(round((self.x_max - self.x_min) / self.resolution))
 
@@ -176,11 +177,11 @@ def bilinear_sample(fmap: FeatureMap, q: tuple[float, float]) -> np.ndarray:
     vector exactly.  Returns float64 length-C vector.
     """
     row, col = q
-    h, w = fmap.meta.height, fmap.meta.width
+    h, w = fmap.data.shape[:2]
     if not (0.0 <= row <= h - 1 and 0.0 <= col <= w - 1):
         raise OutOfBoundsError(f"sample point ({row}, {col}) outside [0,{h - 1}]x[0,{w - 1}]")
-    r0 = min(int(math.floor(row)), h - 2) if h > 1 else 0
-    c0 = min(int(math.floor(col)), w - 2) if w > 1 else 0
+    r0 = min(int(row), h - 2) if h > 1 else 0  # int() floors, as row >= 0
+    c0 = min(int(col), w - 2) if w > 1 else 0
     fr = row - r0
     fc = col - c0
     # Upcast only the blended (at most 2x2xC) neighbourhood: upcasting the
@@ -200,13 +201,11 @@ def bilinear_sample(fmap: FeatureMap, q: tuple[float, float]) -> np.ndarray:
     )
 
 
-def clamp_to_grid(q: tuple[float, float], meta: GridMeta) -> tuple[float, float]:
-    """Clamp a fractional (row, col) into the valid bilinear square."""
-    row, col = q
-    return (
-        min(max(row, 0.0), float(meta.height - 1)),
-        min(max(col, 0.0), float(meta.width - 1)),
-    )
+def clamp_to_grid(q: tuple, meta: GridMeta) -> tuple[np.ndarray, ...]:
+    """Clamp fractional (row, col), floats or arrays, into the valid bilinear
+    square: min(max(v, 0.0), top), elementwise."""
+    tops = (float(meta.height - 1), float(meta.width - 1))
+    return tuple(np.where(v < 0.0, 0.0, np.where(v > t, t, v)) for v, t in zip(q, tops))
 
 
 def require_same_meta(a: FeatureMap, b: FeatureMap) -> None:

@@ -12,10 +12,10 @@ one vector of length 5*C.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .config import ConfigError, check_fields
 from .grid import (
@@ -133,54 +133,57 @@ def sparse_max_pool_peaks(
     """
     if kernel < 3 or kernel % 2 == 0:
         raise InvalidKernelError("kernel", f"must be odd and >= 3, got {kernel}")
-    meta = heatmap.meta
-    h, w = meta.height, meta.width
-    half = kernel // 2
-    found: list[tuple[float, int, int, int, int]] = []  # (-score, rm, label, r, c)
-    for ch in range(heatmap.channels):
-        heat = heatmap.data[:, :, ch]
-        wmax = maximum_filter(heat, size=kernel, mode="constant", cval=-np.inf)
-        rows, cols = np.nonzero((heat == wmax) & (heat >= score_thresh))
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if _wins_plateau(heat, r, c, half, h, w):
-                found.append((-float(heat[r, c]), r * w + c, ch, r, c))
-    found.sort()
-    proposals: list[Proposal] = []
-    for negscore, _, ch, r, c in found[:max_n]:
-        x, y = grid_to_world((float(r), float(c)), meta)
-        proposals.append(Proposal(x, y, 0.0, *default_dims, 0.0, -negscore, ch))
-    return proposals
+    heat = heatmap.data
+    h, w, nch = heat.shape
+    # A window wider than twice the grid covers it from every cell already.
+    half = min(kernel // 2, max(h, w) - 1)
+    # Only cells at or above the threshold are scored, against a -inf border.
+    padded = np.full((h + 2 * half, w + 2 * half, nch), -np.inf, dtype=np.float32)
+    padded[half : half + h, half : half + w] = heat
+    flat = padded.reshape(-1)
+    idx = np.flatnonzero(heat >= score_thresh)
+    cell, ch = divmod(idx, nch)
+    r, c = divmod(cell, w)
+    base = ((r + half) * (w + 2 * half) + c + half) * nch + ch
+    # A cell that loses its 3x3 window loses every wider one, so the full
+    # window is tested only on the 3x3 winners.
+    for reach in sorted({min(half, 1), half}):
+        # Row-major window offsets: the centre, at `mid`, must be strictly
+        # above every earlier cell and at least every later one.
+        dr, dc = divmod(np.arange((2 * reach + 1) ** 2), 2 * reach + 1)
+        offsets = ((dr - reach) * (w + 2 * half) + dc - reach) * nch
+        mid = offsets.size // 2
+        wins = np.empty(base.size, dtype=bool)
+        step = max(1, (1 << 16) // offsets.size)  # bounds the gather's memory
+        for lo in range(0, base.size, step):
+            win = flat[base[lo : lo + step, None] + offsets]
+            v = win[:, mid : mid + 1]
+            wins[lo : lo + step] = (win[:, :mid] < v).all(axis=1) & (win[:, mid:] <= v).all(axis=1)
+        idx, base = idx[wins], base[wins]
+    cell, ch = divmod(idx, nch)
+    score = heat.reshape(-1)[idx]
+    keep = np.lexsort((ch, cell, -score))[:max_n]
+    xs, ys = grid_to_world(divmod(cell[keep], w), heatmap.meta)
+    rows = zip(xs.tolist(), ys.tolist(), score[keep].tolist(), ch[keep].tolist())
+    return [Proposal(x, y, 0.0, *default_dims, 0.0, s, label) for x, y, s, label in rows]
 
 
-def _wins_plateau(heat: np.ndarray, r: int, c: int, half: int, h: int, w: int) -> bool:
-    """True if (r, c) holds the lowest row-major index among window cells
-    sharing its (window-maximal) value."""
-    v = heat[r, c]
-    for rr in range(max(0, r - half), min(h, r + half + 1)):
-        for cc in range(max(0, c - half), min(w, c + half + 1)):
-            if (rr, cc) == (r, c):
-                continue
-            if heat[rr, cc] == v and (rr * w + cc) < (r * w + c):
-                return False
-    return True
-
-
-def roi_sample(fmap: FeatureMap, p: Proposal) -> RoiFeature:
-    """5-point RoI feature: bilinear reads at the center and the four edge
-    midpoints, clamped into the grid, concatenated [c, up, down, left, right]."""
-    hw = p.width / 2.0
-    hh = p.height / 2.0
-    offsets = [(0.0, 0.0), (0.0, hh), (0.0, -hh), (-hw, 0.0), (hw, 0.0)]
-    blocks = []
-    for ox, oy in offsets:
-        q = world_to_grid((p.cx + ox, p.cy + oy), fmap.meta)
-        blocks.append(bilinear_sample(fmap, clamp_to_grid(q, fmap.meta)))
-    return RoiFeature(
-        proposal_id=-1,
-        modality=fmap.modality,
-        vector=np.concatenate(blocks),
-        box=p.box,
-    )
+def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> list[RoiFeature]:
+    """5-point RoI features, one per proposal and numbered by position:
+    bilinear reads at the center and the four edge midpoints, clamped into
+    the grid, concatenated [c, up, down, left, right]."""
+    cx, cy, hw, hh = np.array(
+        [(p.cx, p.cy, p.width / 2.0, p.height / 2.0) for p in proposals], dtype=np.float64
+    ).reshape(-1, 4).T
+    zero = np.zeros_like(cx)
+    xs = cx[:, None] + np.stack([zero, zero, zero, -hw, hw], axis=1)
+    ys = cy[:, None] + np.stack([zero, hh, -hh, zero, zero], axis=1)
+    rows, cols = clamp_to_grid(world_to_grid((xs, ys), fmap.meta), fmap.meta)
+    feats = []
+    for i, (p, pr, pc) in enumerate(zip(proposals, rows.tolist(), cols.tolist())):
+        vector = np.concatenate([bilinear_sample(fmap, q) for q in zip(pr, pc)])
+        feats.append(RoiFeature(i, fmap.modality, vector, p.box))
+    return feats
 
 
 def extract_instances(
@@ -191,17 +194,9 @@ def extract_instances(
     """Peaks -> proposals -> RoI features, in proposal score order."""
     require_same_meta(fmap, heatmap)
     proposals = sparse_max_pool_peaks(
-        heatmap,
-        kernel=cfg.kernel,
-        score_thresh=cfg.score_thresh,
-        max_n=cfg.max_n,
-        default_dims=cfg.default_dims,
+        heatmap, cfg.kernel, cfg.score_thresh, cfg.max_n, cfg.default_dims
     )
-    out = []
-    for idx, p in enumerate(proposals):
-        roi = roi_sample(fmap, p)
-        out.append((p, RoiFeature(idx, roi.modality, roi.vector, roi.box)))
-    return out
+    return list(zip(proposals, roi_sample(fmap, proposals)))
 
 
 def proposals_to_json(proposals: list[Proposal]) -> str:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the fast
 paths: exact rational grid math, arbitrary-precision transforms and loss
 values, the per-pair InfoNCE loss with closed-form gradients, explicit
-4-term bilinear interpolation, exhaustive peak scanning, brute-force KNN,
-per-candidate alignment scores, rasterized IoU, and central finite
-differences for the loss gradients.
+4-term bilinear interpolation, exhaustive peak scanning, scalar greedy IoU
+matching, brute-force KNN, per-candidate alignment scores, rasterized IoU,
+and central finite differences for the loss gradients.
 
 Everything here favors obviousness over speed.  None of it is used by the
 pipeline itself; the CLI exposes these as pass/fail check commands."""
@@ -20,7 +20,7 @@ from .alignfuse import AlignConfig, AlignEntry
 from .contrastive import ZERO_NORM_EPS, LossConfig, ProjectionHead, ZeroVectorError
 from .grid import FeatureMap, GridMeta, PlanarTransform
 from .instance import RoiFeature
-from .pairing import Box2D
+from .pairing import Box2D, iou
 
 
 def world_to_grid_exact(
@@ -248,6 +248,30 @@ def peaks_exhaustive(
     return hits[:max_n]
 
 
+def positive_pairs_greedy(
+    boxes_lidar: list[Box2D], boxes_camera: list[Box2D], tau_iou: float
+) -> list[tuple[int, int]]:
+    """The scalar greedy matching, one box pair at a time: each LiDAR box in
+    order claims the still-free camera box with the highest iou >= tau_iou,
+    ties to the lower camera index."""
+    taken: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for i, bl in enumerate(boxes_lidar):
+        best_j = -1
+        best = 0.0
+        for j, bc in enumerate(boxes_camera):
+            if j in taken:
+                continue
+            v = iou(bl, bc)
+            if v >= tau_iou and v > best:
+                best = v
+                best_j = j
+        if best_j >= 0:
+            pairs.append((i, best_j))
+            taken.add(best_j)
+    return pairs
+
+
 def knn_brute(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     """All-pairs sort by (squared distance, index)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -427,8 +451,6 @@ def check_knn(seed: int = 0, n_queries: int = 100, n_points: int = 1000) -> Chec
 
 def check_iou(seed: int = 0, trials: int = 1000, tol: float = 2e-2) -> CheckReport:
     """Analytic IoU vs 0.01 m rasterization."""
-    from .pairing import iou
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_detail = None

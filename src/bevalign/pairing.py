@@ -37,10 +37,6 @@ class Box2D:
         if self.w < 0 or self.h < 0:
             raise ValueError("box extents must be non-negative")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 def iou(a: Box2D, b: Box2D) -> float:
     """Intersection over union of two axis-aligned boxes; 0 when disjoint
@@ -64,6 +60,23 @@ def iou(a: Box2D, b: Box2D) -> float:
     return inter / union
 
 
+def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
+    """iou(a, b) for every pair, shape (len(boxes_a), len(boxes_b)), by the
+    same float operations: for finite boxes, each entry is bit-equal to it."""
+    a = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_a], dtype=np.float64).reshape(-1, 4)
+    b = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_b], dtype=np.float64).reshape(-1, 4)
+    ax0, ax1 = a[:, 0] - a[:, 2] / 2, a[:, 0] + a[:, 2] / 2
+    ay0, ay1 = a[:, 1] - a[:, 3] / 2, a[:, 1] + a[:, 3] / 2
+    bx0, bx1 = b[:, 0] - b[:, 2] / 2, b[:, 0] + b[:, 2] / 2
+    by0, by1 = b[:, 1] - b[:, 3] / 2, b[:, 1] + b[:, 3] / 2
+    ix = np.minimum.outer(ax1, bx1) - np.maximum.outer(ax0, bx0)
+    iy = np.minimum.outer(ay1, by1) - np.maximum.outer(ay0, by0)
+    inter = ix * iy
+    union = ((ax1 - ax0) * (ay1 - ay0))[:, None] + (bx1 - bx0) * (by1 - by0) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((ix <= 0.0) | (iy <= 0.0) | (union <= 0.0), 0.0, inter / union)
+
+
 def positive_pairs(
     boxes_lidar: list[Box2D], boxes_camera: list[Box2D], tau_iou: float
 ) -> list[tuple[int, int]]:
@@ -72,21 +85,14 @@ def positive_pairs(
     camera index).  Each camera box serves at most one LiDAR box."""
     if not 0.0 < tau_iou <= 1.0:
         raise ValueError(f"tau_iou must be in (0, 1], got {tau_iou}")
-    taken: set[int] = set()
+    m = iou_matrix(boxes_lidar, boxes_camera)
+    m[~(m >= tau_iou)] = -1.0  # -1: below tau_iou, or already claimed
     pairs: list[tuple[int, int]] = []
-    for i, bl in enumerate(boxes_lidar):
-        best_j = -1
-        best = 0.0
-        for j, bc in enumerate(boxes_camera):
-            if j in taken:
-                continue
-            v = iou(bl, bc)
-            if v >= tau_iou and v > best:
-                best = v
-                best_j = j
-        if best_j >= 0:
-            pairs.append((i, best_j))
-            taken.add(best_j)
+    for i in np.flatnonzero((m >= 0.0).any(axis=1)).tolist():
+        j = int(np.argmax(m[i]))
+        if m[i, j] >= 0.0:
+            pairs.append((i, j))
+            m[:, j] = -1.0
     return pairs
 
 

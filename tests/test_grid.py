@@ -1,5 +1,6 @@
 """Grid geometry, transforms, bilinear sampling, and the BEVF container."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -92,6 +93,22 @@ class TestGridMeta:
     def test_dict_round_trip(self):
         meta = default_meta()
         assert from_dict(GridMeta, to_dict(meta)) == meta
+
+    def test_cached_shape_stays_outside_the_fields(self):
+        meta = GridMeta(-2.0, 2.0, -1.0, 2.0, 0.5)
+        # computed once, at construction
+        assert vars(meta)["height"] == 6 and vars(meta)["width"] == 8
+        fields = {"x_min": -2.0, "x_max": 2.0, "y_min": -1.0, "y_max": 2.0, "resolution": 0.5}
+        assert to_dict(meta) == fields
+        # equality, hashing and repr read the fields only, not the cache
+        twin = GridMeta(-2.0, 2.0, -1.0, 2.0, 0.5)
+        del vars(twin)["height"]
+        vars(twin)["width"] = 999
+        assert twin == meta and hash(twin) == hash(meta) and repr(twin) == repr(meta)
+        assert twin.height == 6
+        assert GridMeta(-2.0, 2.0, -1.0, 2.0, 0.25) != meta
+        # replace() builds a new instance, whose shape is derived afresh
+        assert dataclasses.replace(meta, resolution=0.25).height == 12
 
 
 class TestCoordinateMapping:
@@ -271,7 +288,12 @@ class TestBilinearSample:
         draw=st.data(),
     )
     def test_bit_identical_to_whole_map_formula(self, h, w, c, seed, draw):
-        fmap = small_map(h=h, w=w, c=c, seed=seed)
+        # Exact 0.0 and -0.0 cells, so the sign of a zero blend is pinned too.
+        data = small_map(h=h, w=w, c=c, seed=seed).data.copy()
+        zeros = draw.draw(hnp.arrays(np.int8, data.shape, elements=st.integers(0, 2)))
+        data[zeros == 1] = 0.0
+        data[zeros == 2] = -0.0
+        fmap = FeatureMap(meta=small_map(h=h, w=w, c=c).meta, data=data)
 
         def axis(n):
             # Interior points plus both edges, so the last row/column is hit.
@@ -280,7 +302,8 @@ class TestBilinearSample:
         q = (draw.draw(axis(h)), draw.draw(axis(w)))
         got = bilinear_sample(fmap, q)
         assert got.dtype == np.float64
-        assert np.array_equal(got, self.whole_map_reference(fmap, q))
+        want = self.whole_map_reference(fmap, q)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_does_not_copy_the_map(self):
         fmap = FeatureMap(

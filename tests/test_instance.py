@@ -1,11 +1,12 @@
 """Heatmap peak extraction and 5-point RoI feature sampling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bevalign.grid import FeatureMap, GridMeta
+from bevalign.grid import FeatureMap, GridMeta, default_meta
 from bevalign.instance import (
     InstanceConfig,
     InvalidKernelError,
@@ -121,6 +122,65 @@ class TestSparseMaxPoolPeaks:
             ]
             assert got == peaks_exhaustive(heat)
 
+    @staticmethod
+    def cells(props, meta):
+        return [
+            (round(p.cy - meta.y_min), round(p.cx - meta.x_min), p.label, p.score) for p in props
+        ]
+
+    # 10001 is wider than twice the grid: it must act as the whole-grid window
+    @pytest.mark.parametrize("kernel", [3, 5, 7, 10001])
+    @pytest.mark.parametrize("score_thresh", [0.0, 0.3])
+    def test_wide_kernels_and_zero_threshold_match_exhaustive_scan(self, kernel, score_thresh):
+        rng = np.random.default_rng(kernel)
+        meta = GridMeta(0.0, 14.0, 0.0, 11.0, 1.0)
+        for trial in range(6):
+            heat = rng.uniform(0.0, 1.0, size=(11, 14, 2)).astype(np.float32)
+            if trial % 2:
+                heat = np.round(heat, 1).astype(np.float32)  # plateaus and score ties
+            if trial % 3 == 0:
+                heat[rng.uniform(size=heat.shape) < 0.3] = 0.0  # flat zero regions
+                heat[rng.uniform(size=heat.shape) < 0.1] = -0.0
+            props = sparse_max_pool_peaks(heat_map(heat, meta), kernel, score_thresh)
+            assert self.cells(props, meta) == peaks_exhaustive(heat, kernel, score_thresh)
+
+    def test_cross_channel_ties_order_by_channel(self):
+        rng = np.random.default_rng(5)
+        meta = GridMeta(0.0, 12.0, 0.0, 12.0, 1.0)
+        layer = np.round(rng.uniform(0.0, 1.0, size=(12, 12)), 1)
+        heat = np.stack([layer, layer], axis=2).astype(np.float32)
+        props = sparse_max_pool_peaks(heat_map(heat, meta), kernel=5, score_thresh=0.0)
+        got = self.cells(props, meta)
+        assert got == peaks_exhaustive(heat, 5, 0.0)
+        # every peak appears in both channels, channel 0 first
+        assert [label for _, _, label, _ in got] == [0, 1] * (len(got) // 2)
+
+    @pytest.mark.parametrize("max_n", [0, 1, 4, 1000])
+    def test_max_n_truncates_the_exhaustive_order(self, max_n):
+        rng = np.random.default_rng(9)
+        meta = GridMeta(0.0, 16.0, 0.0, 16.0, 1.0)
+        heat = np.round(rng.uniform(0.0, 1.0, size=(16, 16, 2)), 1).astype(np.float32)
+        props = sparse_max_pool_peaks(heat_map(heat, meta), 7, 0.0, max_n=max_n)
+        want = peaks_exhaustive(heat, 7, 0.0, max_n)
+        assert self.cells(props, meta) == want
+        assert len(want) == min(max_n, len(peaks_exhaustive(heat, 7, 0.0, 1000)))
+
+    def test_wide_kernel_does_not_gather_every_window(self):
+        # kernel 31 at threshold 0 makes every one of the 144 x 144 cells a
+        # candidate: a candidate-by-window gather would take 20736 * 961
+        # float32 values (80 MB).
+        heat = np.random.default_rng(0).uniform(0.0, 1.0, size=(144, 144, 1)).astype(np.float32)
+        fmap = heat_map(heat, default_meta())
+        sparse_max_pool_peaks(fmap, kernel=31, score_thresh=0.0)
+        tracemalloc.start()
+        try:
+            props = sparse_max_pool_peaks(fmap, kernel=31, score_thresh=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert props[0].score == float(heat.max())
+
 
 class TestRoiSample:
     def make_gradient_map(self):
@@ -137,14 +197,14 @@ class TestRoiSample:
         meta = GridMeta(0.0, 8.0, 0.0, 8.0, 1.0)
         fmap = FeatureMap(meta=meta, data=np.full((8, 8, 3), 2.5, dtype=np.float32))
         p = Proposal(4.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, p)
+        roi = roi_sample(fmap, [p])[0]
         assert roi.vector.shape == (15,)
         np.testing.assert_allclose(roi.vector, 2.5)
 
     def test_sample_point_order_and_positions(self):
         fmap = self.make_gradient_map()
         p = Proposal(6.0, 9.0, 0.0, 2.0, 4.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, p)
+        roi = roi_sample(fmap, [p])[0]
         xy = roi.vector.reshape(5, 2)
         # [center, up, down, left, right] with hw=1, hh=2
         want = [(6.0, 9.0), (6.0, 11.0), (6.0, 7.0), (5.0, 9.0), (7.0, 9.0)]
@@ -153,7 +213,7 @@ class TestRoiSample:
     def test_border_points_clamp(self):
         fmap = self.make_gradient_map()
         p = Proposal(0.5, 0.5, 0.0, 4.0, 4.0, 2.0, 0.0, 1.0, 0)
-        xy = roi_sample(fmap, p).vector.reshape(5, 2)
+        xy = roi_sample(fmap, [p])[0].vector.reshape(5, 2)
         # left/down points fall outside and clamp to the border
         np.testing.assert_allclose(xy[2], (0.5, 0.0), atol=1e-9)
         np.testing.assert_allclose(xy[3], (0.0, 0.5), atol=1e-9)
@@ -161,7 +221,7 @@ class TestRoiSample:
     def test_box_matches_proposal(self):
         fmap = self.make_gradient_map()
         p = Proposal(6.0, 9.0, 0.0, 2.0, 4.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, p)
+        roi = roi_sample(fmap, [p])[0]
         assert (roi.box.cx, roi.box.cy, roi.box.w, roi.box.h) == (6.0, 9.0, 2.0, 4.0)
         assert roi.center == (6.0, 9.0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevalign.oracles import iou_raster, knn_brute
+from bevalign.oracles import iou_raster, knn_brute, positive_pairs_greedy
 from bevalign.pairing import (
     Box2D,
     EmptyInputError,
@@ -13,6 +13,7 @@ from bevalign.pairing import (
     PairSet,
     build_pairs,
     iou,
+    iou_matrix,
     knn,
     positive_pairs,
 )
@@ -20,6 +21,14 @@ from bevalign.pairing import (
 box_floats = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 box_sizes = st.floats(0.1, 8.0, allow_nan=False, allow_infinity=False)
 boxes = st.builds(Box2D, cx=box_floats, cy=box_floats, w=box_sizes, h=box_sizes)
+# boxes on a half-metre lattice (exact IoU ties, zero extents) or anywhere
+lattice = st.sampled_from([i / 2 for i in range(-4, 5)])
+lattice_sizes = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+any_sizes = st.floats(0.0, 8.0)
+pair_boxes = st.one_of(
+    st.builds(Box2D, cx=lattice, cy=lattice, w=lattice_sizes, h=lattice_sizes),
+    st.builds(Box2D, cx=box_floats, cy=box_floats, w=any_sizes, h=any_sizes),
+)
 
 
 class TestIou:
@@ -97,6 +106,22 @@ class TestPositivePairs:
         camera = [Box2D(0.1, 0, 2, 2)]
         pairs = positive_pairs(lidar, camera, 0.05)
         assert pairs == [(0, 0)]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_greedy_reference(self, data):
+        lidar = data.draw(st.lists(pair_boxes, max_size=7))
+        # camera boxes: fresh ones, plus copies of LiDAR boxes so that several
+        # LiDAR boxes contest one camera box and IoU ties are exact
+        copies = st.one_of(pair_boxes, st.sampled_from(lidar)) if lidar else pair_boxes
+        camera = data.draw(st.lists(copies, max_size=7))
+        taus = st.sampled_from([1e-12, 0.1, 1 / 3, 0.5, 1.0])
+        tau = data.draw(st.one_of(taus, st.floats(1e-6, 1.0)))
+        m = iou_matrix(lidar, camera)
+        assert m.shape == (len(lidar), len(camera))
+        scalar = np.array([[iou(a, b) for b in camera] for a in lidar]).reshape(m.shape)
+        assert np.array_equal(m.view(np.uint64), scalar.view(np.uint64))
+        assert positive_pairs(lidar, camera, tau) == positive_pairs_greedy(lidar, camera, tau)
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
