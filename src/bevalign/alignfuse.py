@@ -24,7 +24,7 @@ from .grid import (
     world_to_grid,
     write_bevf,
 )
-from .instance import Proposal, RoiFeature
+from .instance import Proposal
 from .pairing import PairSet, knn
 
 
@@ -82,42 +82,58 @@ class AlignmentResult:
         }
 
 
+@dataclass(frozen=True)
+class PipelineOutput:
+    """Everything one scene's run produced: detections per modality with
+    their read-only (N, 5*C) RoI feature matrices (row i for proposal i),
+    the contrastive pairs found on this scene, and, once the scene is
+    evaluated, the alignment verdicts and their mean loss under the heads
+    that did the aligning."""
+
+    lidar_proposals: tuple[Proposal, ...]
+    lidar_feats: np.ndarray
+    camera_proposals: tuple[Proposal, ...]
+    camera_feats: np.ndarray
+    alignment: AlignmentResult | None = None
+    pairs: PairSet | None = None
+    mean_loss: float = 0.0
+
+
 def align_instances(
-    lidar_feats: list[RoiFeature],
-    camera_feats: list[RoiFeature],
+    pipe: PipelineOutput,
     head_lidar: ProjectionHead,
     head_camera: ProjectionHead,
     cfg: AlignConfig = AlignConfig(),
     nearest: bool = False,
 ) -> AlignmentResult:
-    """Scene-level alignment: the candidate set for each LiDAR instance is
-    its k nearest camera instances by center position (exact rank order,
-    distance ties -> lower camera index).  Instances with no camera
-    detections at all pass through with chosen_rank=None.
+    """Scene-level alignment of pipe's detections: the candidate set for each
+    LiDAR instance is its k nearest camera instances by center position
+    (exact rank order, distance ties -> lower camera index).  Instances with
+    no camera detections at all pass through with chosen_rank=None.  Indices
+    are rows of the feature matrices, i.e. proposal positions.
 
     Each modality is projected once and all (instance, candidate) scores
     come from one gathered (N_L, K, D_e) product, so the scores equal the
     per-candidate oracle `oracles.align`'s up to float summation order.
     nearest=True is the no-learning baseline: it keeps the closest
     neighbor and ignores the heads."""
-    if not (lidar_feats and camera_feats):
+    n_lidar = len(pipe.lidar_proposals)
+    if not (n_lidar and pipe.camera_proposals):
         return AlignmentResult(
-            entries=tuple(
-                AlignEntry(f.proposal_id, (), np.empty(0), None) for f in lidar_feats
-            )
+            entries=tuple(AlignEntry(i, (), np.empty(0), None) for i in range(n_lidar))
         )
-    lidar_xy = np.array([f.center for f in lidar_feats])
-    camera_xy = np.array([c.center for c in camera_feats])
+    lidar_xy = np.array([(p.cx, p.cy) for p in pipe.lidar_proposals])
+    camera_xy = np.array([(p.cx, p.cy) for p in pipe.camera_proposals])
     near = knn(camera_xy, lidar_xy, cfg.k_neighbors)
     if nearest:
         # rank order is already nearest-first; score by closeness so the
         # argmax invariant still holds
         d = camera_xy[near] - lidar_xy[:, None, :]
         scores = -(d[..., 0] ** 2 + d[..., 1] ** 2)
-        chosen = np.zeros(len(lidar_feats), dtype=np.int64)
+        chosen = np.zeros(n_lidar, dtype=np.int64)
     else:
-        el = head_lidar.project(np.array([f.vector for f in lidar_feats]))
-        ec = head_camera.project(np.array([c.vector for c in camera_feats]))
+        el = head_lidar.project(pipe.lidar_feats)
+        ec = head_camera.project(pipe.camera_feats)
         scores = np.einsum("ld,lkd->lk", el, ec[near])
         if cfg.metric == "cosine":
             nl = np.linalg.norm(el, axis=1)
@@ -126,29 +142,12 @@ def align_instances(
                 raise ZeroVectorError("cosine similarity of a zero vector")
             scores = scores / (nl[:, None] * nc)
         chosen = scores.argmax(axis=1)
-    camera_ids = np.array([c.proposal_id for c in camera_feats])[near].tolist()
     return AlignmentResult(
         entries=tuple(
-            AlignEntry(f.proposal_id, tuple(ids), row, int(rank))
-            for f, ids, row, rank in zip(lidar_feats, camera_ids, scores, chosen)
+            AlignEntry(i, tuple(ids), row, int(rank))
+            for i, (ids, row, rank) in enumerate(zip(near.tolist(), scores, chosen))
         )
     )
-
-
-@dataclass(frozen=True)
-class PipelineOutput:
-    """Everything one scene's run produced, in the shape evaluation wants:
-    detections and RoI features per modality, the alignment verdicts, the
-    contrastive pairs found on this scene, and their mean loss under the
-    heads that did the aligning."""
-
-    lidar_proposals: tuple[Proposal, ...]
-    lidar_feats: tuple[RoiFeature, ...]
-    camera_proposals: tuple[Proposal, ...]
-    camera_feats: tuple[RoiFeature, ...]
-    alignment: AlignmentResult | None
-    pairs: PairSet | None
-    mean_loss: float
 
 
 @dataclass(frozen=True)
@@ -207,13 +206,13 @@ def fuse(
     camera_map: FeatureMap,
     alignment: AlignmentResult,
     lidar_proposals: list[Proposal],
-    camera_feats: list[RoiFeature],
+    camera_feats: np.ndarray,
 ) -> FusedMap:
     """Channel-concatenate the dense maps and paint each aligned camera
-    instance feature (5 blocks averaged to C_C) over its LiDAR proposal's
-    box footprint.  Overlaps keep the higher-score proposal's features;
-    equal scores keep the lower lidar index.  The dense channels are copied
-    bitwise."""
+    instance feature (its camera_feats row, 5 blocks averaged to C_C) over
+    its LiDAR proposal's box footprint.  Overlaps keep the higher-score
+    proposal's features; equal scores keep the lower lidar index.  The
+    dense channels are copied bitwise."""
     require_same_meta(lidar_map, camera_map)
     meta = lidar_map.meta
     c_l, c_c = lidar_map.channels, camera_map.channels
@@ -221,14 +220,12 @@ def fuse(
     out[:, :, :c_l] = lidar_map.data
     out[:, :, c_l : c_l + c_c] = camera_map.data
 
-    cam_by_id = {f.proposal_id: f for f in camera_feats}
     painted = []
     for e in alignment.entries:
         if e.chosen_rank is None:
             continue
         prop = lidar_proposals[e.lidar_index]
-        feat = cam_by_id[e.chosen_camera_index]
-        painted.append((prop.score, e.lidar_index, prop.box, feat))
+        painted.append((prop.score, e.lidar_index, prop.box, camera_feats[e.chosen_camera_index]))
     # ascending score, descending index: the last writer for a cell is the
     # highest score, lowest index on ties
     painted.sort(key=lambda t: (t[0], -t[1]))
@@ -238,7 +235,7 @@ def fuse(
         if span is None:
             continue
         r0, r1, c0, c1 = span
-        vec = reduce_roi_vector(feat.vector, c_c).astype(np.float32)
+        vec = reduce_roi_vector(feat, c_c).astype(np.float32)
         out[r0 : r1 + 1, c0 : c1 + 1, inst] = vec
     return FusedMap(
         fmap=FeatureMap(meta=meta, data=out, modality="fused"),

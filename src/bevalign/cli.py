@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .alignfuse import align_instances, fuse
 from .experiment import (
@@ -30,23 +31,15 @@ from .experiment import (
     write_outputs,
 )
 from .instance import proposals_to_json
-from .oracles import (
-    CheckReport,
-    check_bilinear,
-    check_iou,
-    check_knn,
-    check_peaks,
-    gradcheck_info_nce,
-)
 from .scenesim import NoiseSpec, apply_noise, gen_scene, load_scene, save_scene
 from .contrastive import train_heads, write_loss_trace_csv
 
-ORACLE_RUNNERS = {
-    "iou": check_iou,
-    "knn": check_knn,
-    "bilinear": check_bilinear,
-    "peaks": check_peaks,
-}
+if TYPE_CHECKING:
+    from .oracles import CheckReport
+
+# `oracles.check_<kind>`; oracles (and so mpmath) is imported only by the
+# commands that run a check.
+ORACLE_KINDS = ("bilinear", "iou", "knn", "peaks")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle comparison")
-    p_oracle.add_argument("--kind", required=True, choices=sorted(ORACLE_RUNNERS))
+    p_oracle.add_argument("--kind", required=True, choices=ORACLE_KINDS)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--trials", type=int, default=None, help="defaults per kind")
 
@@ -125,6 +118,8 @@ def _cmd_gradcheck(args) -> int:
     if args.trials < 1:
         print("gradcheck: --trials must be >= 1", file=sys.stderr)
         return 2
+    from .oracles import gradcheck_info_nce
+
     rep = gradcheck_info_nce(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
     print(_report_line(rep))
     if not rep.passed and rep.detail:
@@ -136,7 +131,9 @@ def _cmd_oracle(args) -> int:
     if args.trials is not None and args.trials < 1:
         print("oracle: --trials must be >= 1", file=sys.stderr)
         return 2
-    runner = ORACLE_RUNNERS[args.kind]
+    from . import oracles
+
+    runner = getattr(oracles, f"check_{args.kind}")
     kwargs = {"seed": args.seed}
     if args.trials is not None:
         if args.kind == "knn":
@@ -190,19 +187,9 @@ def _cmd_align(args) -> int:
             print("align: no positive pairs found in bundle", file=sys.stderr)
             return 3
         result = train_heads([material], cfg.train)
-        alignment = align_instances(
-            list(pipe.lidar_feats),
-            list(pipe.camera_feats),
-            result.head_lidar,
-            result.head_camera,
-            cfg.align,
-        )
+        alignment = align_instances(pipe, result.head_lidar, result.head_camera, cfg.align)
         fused = fuse(
-            scene.lidar_feat,
-            scene.camera_feat,
-            alignment,
-            list(pipe.lidar_proposals),
-            list(pipe.camera_feats),
+            scene.lidar_feat, scene.camera_feat, alignment, pipe.lidar_proposals, pipe.camera_feats
         )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +207,8 @@ def _cmd_align(args) -> int:
                 indent=2,
             )
         )
-        (out / "lidar_proposals.json").write_text(proposals_to_json(list(pipe.lidar_proposals)))
-        (out / "camera_proposals.json").write_text(proposals_to_json(list(pipe.camera_proposals)))
+        (out / "lidar_proposals.json").write_text(proposals_to_json(pipe.lidar_proposals))
+        (out / "camera_proposals.json").write_text(proposals_to_json(pipe.camera_proposals))
         fused.save(out / "fused")
         write_loss_trace_csv(out / "loss_trace.csv", result)
     except Exception as e:  # noqa: BLE001

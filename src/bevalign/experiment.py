@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ from .contrastive import (
     write_loss_trace_csv,
 )
 from .config import ConfigError, check_fields, field_types, from_dict, to_dict
-from .instance import InstanceConfig, Proposal, RoiFeature, extract_instances
-from .pairing import PairConfig, PairSet, build_pairs
+from .instance import InstanceConfig, extract_instances
+from .pairing import PairConfig, build_pairs
 from .scenesim import (
     NOISE_STREAM_SALT,  # noqa: F401 - re-exported; bench/worker.py reads it here
     Metrics,
@@ -133,37 +133,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-@dataclass(frozen=True)
-class ScenePipeline:
-    """One scene's extracted material, ready for alignment and scoring."""
-
-    scene: Scene
-    lidar_proposals: tuple[Proposal, ...]
-    lidar_feats: tuple[RoiFeature, ...]
-    camera_proposals: tuple[Proposal, ...]
-    camera_feats: tuple[RoiFeature, ...]
-    pairs: PairSet | None
-
-
-def run_scene_pipeline(scene: Scene, cfg: ExperimentConfig) -> ScenePipeline:
-    lidar = extract_instances(scene.lidar_feat, scene.lidar_heat, cfg.instance)
-    camera = extract_instances(scene.camera_feat, scene.camera_heat, cfg.instance)
-    lp = tuple(p for p, _ in lidar)
-    lf = tuple(f for _, f in lidar)
-    cp = tuple(p for p, _ in camera)
-    cf = tuple(f for _, f in camera)
+def run_scene_pipeline(scene: Scene, cfg: ExperimentConfig) -> PipelineOutput:
+    """One scene's detections, RoI features and contrastive pairs; the
+    alignment and its loss are left for evaluate_scene."""
+    lp, lf = extract_instances(scene.lidar_feat, scene.lidar_heat, cfg.instance)
+    cp, cf = extract_instances(scene.camera_feat, scene.camera_heat, cfg.instance)
     pairs = None
     if lp and cp:
-        pairs = build_pairs([f.box for f in lf], [f.box for f in cf], cfg.pairing)
-    return ScenePipeline(scene, lp, lf, cp, cf, pairs)
+        pairs = build_pairs([p.box for p in lp], [p.box for p in cp], cfg.pairing)
+    return PipelineOutput(lp, lf, cp, cf, pairs=pairs)
 
 
-def scene_pairs_for_training(pipe: ScenePipeline) -> ScenePairs | None:
+def scene_pairs_for_training(pipe: PipelineOutput) -> ScenePairs | None:
     if pipe.pairs is None or not pipe.pairs.positives:
         return None
-    lv = np.asarray([f.vector for f in pipe.lidar_feats])
-    cv = np.asarray([f.vector for f in pipe.camera_feats])
-    return ScenePairs(lidar_vectors=lv, camera_vectors=cv, pairs=pipe.pairs)
+    return ScenePairs(pipe.lidar_feats, pipe.camera_feats, pipe.pairs)
 
 
 def mean_pair_loss(
@@ -183,11 +167,13 @@ def mean_pair_loss(
 
 
 def evaluate_scene(
-    pipe: ScenePipeline,
+    scene: Scene,
+    pipe: PipelineOutput,
     heads: dict[str, tuple[ProjectionHead, ProjectionHead]],
     cfg: ExperimentConfig,
 ) -> dict[str, Metrics]:
-    """Metrics for each variant on one (possibly noisy) scene."""
+    """Metrics for each variant on one (possibly noisy) scene, whose
+    pipeline output is pipe."""
     out: dict[str, Metrics] = {}
     material = scene_pairs_for_training(pipe)
     # Variants may share a head pair ("naive" reuses "untrained"); its loss is
@@ -198,20 +184,9 @@ def evaluate_scene(
         key = (id(head_l), id(head_c))
         if key not in losses:
             losses[key] = mean_pair_loss(material, head_l, head_c, cfg.train.loss)
-        nearest = variant == "naive"
-        alignment = align_instances(
-            pipe.lidar_feats, pipe.camera_feats, head_l, head_c, cfg.align, nearest=nearest
-        )
-        output = PipelineOutput(
-            lidar_proposals=pipe.lidar_proposals,
-            lidar_feats=pipe.lidar_feats,
-            camera_proposals=pipe.camera_proposals,
-            camera_feats=pipe.camera_feats,
-            alignment=alignment,
-            pairs=pipe.pairs,
-            mean_loss=losses[key],
-        )
-        out[variant] = eval_alignment(pipe.scene, output)
+        alignment = align_instances(pipe, head_l, head_c, cfg.align, nearest=variant == "naive")
+        output = replace(pipe, alignment=alignment, mean_loss=losses[key])
+        out[variant] = eval_alignment(scene, output)
     return out
 
 
@@ -264,8 +239,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
         eval_idx = train_idx
 
     # One scene is alive at a time: the train pipelines are reduced to their
-    # pair material, and each eval scene is generated once and swept over the
-    # whole noise grid, so no split's feature maps are all alive at once.
+    # pair material, each eval scene is generated once and swept over the
+    # whole noise grid, and each noisy render lives only inside eval_noisy,
+    # so no split's feature maps are all alive at once.
     def train_material(i: int) -> ScenePairs | None:
         return scene_pairs_for_training(run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg))
 
@@ -280,12 +256,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     }
     heads["naive"] = heads["untrained"]
 
+    def eval_noisy(scene: Scene, spec: NoiseSpec) -> dict[str, Metrics]:
+        noisy = apply_noise(scene, spec)
+        return evaluate_scene(noisy, run_scene_pipeline(noisy, cfg), heads, cfg)
+
     def eval_one(i: int) -> list[dict[str, Metrics]]:
         scene = gen_scene(cfg.scene, seeds[i])
-        return [
-            evaluate_scene(run_scene_pipeline(apply_noise(scene, spec), cfg), heads, cfg)
-            for spec in cfg.noise_grid
-        ]
+        return [eval_noisy(scene, spec) for spec in cfg.noise_grid]
 
     per_scene = [eval_one(i) for i in eval_idx]
     noise_points: list[dict] = []

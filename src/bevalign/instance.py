@@ -6,12 +6,14 @@ the lexicographic order (score, then lower row-major index), so exact score
 plateaus resolve deterministically and no two returned peaks can share a
 window.  RoI features sample the box center plus the four edge midpoints
 [c, c_up, c_down, c_left, c_right] and concatenate the bilinear reads into
-one vector of length 5*C.
+one row of length 5*C; a modality's features are one (N, 5*C) matrix whose
+row i belongs to proposal i.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -48,6 +50,9 @@ class Proposal:
     label: int
 
     def __post_init__(self) -> None:
+        for name in ("cx", "cy", "z", "width", "height", "length", "yaw", "score"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"proposal {name} must be finite, got {getattr(self, name)}")
         if min(self.width, self.height, self.length) <= 0:
             raise ValueError("proposal dims must be positive")
         if not 0.0 <= self.score <= 1.0:
@@ -75,29 +80,6 @@ class Proposal:
         return cls(
             d["cx"], d["cy"], d["z"], d["w"], d["h"], d["l"], d["yaw"], d["score"], int(d["label"])
         )
-
-
-@dataclass(frozen=True)
-class RoiFeature:
-    """Concatenated 5-point instance feature and its derived 2D box."""
-
-    proposal_id: int
-    modality: str
-    vector: np.ndarray
-    box: Box2D
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1 or vec.size % 5 != 0:
-            raise ValueError(f"vector must be flat with length 5*C, got shape {vec.shape}")
-        if not np.isfinite(vec).all():
-            raise ValueError("vector contains NaN or Inf")
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return self.box.cx, self.box.cy
 
 
 @dataclass(frozen=True)
@@ -168,10 +150,11 @@ def sparse_max_pool_peaks(
     return [Proposal(x, y, 0.0, *default_dims, 0.0, s, label) for x, y, s, label in rows]
 
 
-def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> list[RoiFeature]:
-    """5-point RoI features, one per proposal and numbered by position:
-    bilinear reads at the center and the four edge midpoints, clamped into
-    the grid, concatenated [c, up, down, left, right]."""
+def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> np.ndarray:
+    """5-point RoI features as a read-only float64 (N, 5*C) matrix, row i
+    for proposals[i]: bilinear reads at the center and the four edge
+    midpoints, clamped into the grid, concatenated [c, up, down, left, right].
+    The map is finite (FeatureMap checks it), so every row is too."""
     cx, cy, hw, hh = np.array(
         [(p.cx, p.cy, p.width / 2.0, p.height / 2.0) for p in proposals], dtype=np.float64
     ).reshape(-1, 4).T
@@ -179,10 +162,11 @@ def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> list[RoiFeatu
     xs = cx[:, None] + np.stack([zero, zero, zero, -hw, hw], axis=1)
     ys = cy[:, None] + np.stack([zero, hh, -hh, zero, zero], axis=1)
     rows, cols = clamp_to_grid(world_to_grid((xs, ys), fmap.meta), fmap.meta)
-    feats = []
-    for i, (p, pr, pc) in enumerate(zip(proposals, rows.tolist(), cols.tolist())):
-        vector = np.concatenate([bilinear_sample(fmap, q) for q in zip(pr, pc)])
-        feats.append(RoiFeature(i, fmap.modality, vector, p.box))
+    points = zip(rows.tolist(), cols.tolist())
+    feats = np.array(
+        [[bilinear_sample(fmap, q) for q in zip(pr, pc)] for pr, pc in points], dtype=np.float64
+    ).reshape(len(proposals), 5 * fmap.channels)
+    feats.flags.writeable = False
     return feats
 
 
@@ -190,13 +174,13 @@ def extract_instances(
     fmap: FeatureMap,
     heatmap: FeatureMap,
     cfg: InstanceConfig,
-) -> list[tuple[Proposal, RoiFeature]]:
-    """Peaks -> proposals -> RoI features, in proposal score order."""
+) -> tuple[tuple[Proposal, ...], np.ndarray]:
+    """Peaks -> proposals, in score order, and their RoI feature matrix."""
     require_same_meta(fmap, heatmap)
-    proposals = sparse_max_pool_peaks(
-        heatmap, cfg.kernel, cfg.score_thresh, cfg.max_n, cfg.default_dims
+    proposals = tuple(
+        sparse_max_pool_peaks(heatmap, cfg.kernel, cfg.score_thresh, cfg.max_n, cfg.default_dims)
     )
-    return list(zip(proposals, roi_sample(fmap, proposals)))
+    return proposals, roi_sample(fmap, proposals)
 
 
 def proposals_to_json(proposals: list[Proposal]) -> str:

@@ -10,6 +10,7 @@ pipeline itself; the CLI exposes these as pass/fail check commands."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ import numpy as np
 from .alignfuse import AlignConfig, AlignEntry
 from .contrastive import ZERO_NORM_EPS, LossConfig, ProjectionHead, ZeroVectorError
 from .grid import FeatureMap, GridMeta, PlanarTransform
-from .instance import RoiFeature
 from .pairing import Box2D, iou
 
 
@@ -282,26 +282,29 @@ def knn_brute(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
 
 
 def align(
-    lidar_inst: RoiFeature,
-    neighbors: list[RoiFeature],
+    lidar_index: int,
+    lidar_vector: np.ndarray,
+    camera_feats: np.ndarray,
+    neighbors: Sequence[int],
     head_lidar: ProjectionHead,
     head_camera: ProjectionHead,
     cfg: AlignConfig = AlignConfig(),
 ) -> AlignEntry:
-    """Score one LiDAR instance against a non-empty, ordered camera candidate
-    list one candidate at a time and pick the argmax (ties -> lower rank):
-    the reference for align_instances' batched scores."""
-    el = head_lidar.project(lidar_inst.vector)
+    """Score one LiDAR instance's RoI vector against a non-empty, ordered
+    list of camera feature rows one candidate at a time and pick the argmax
+    (ties -> lower rank): the reference for align_instances' batched
+    scores."""
+    el = head_lidar.project(lidar_vector)
     scores = np.empty(len(neighbors))
-    for rank, cand in enumerate(neighbors):
-        ec = head_camera.project(cand.vector)
+    for rank, j in enumerate(neighbors):
+        ec = head_camera.project(camera_feats[j])
         if cfg.metric == "cosine":
             scores[rank] = cosine_sim(el, ec)
         else:
             scores[rank] = float(np.dot(el, ec))
     return AlignEntry(
-        lidar_index=lidar_inst.proposal_id,
-        neighbor_indices=tuple(c.proposal_id for c in neighbors),
+        lidar_index=lidar_index,
+        neighbor_indices=tuple(neighbors),
         scores=scores,
         # np.argmax returns the first maximum, i.e. the lowest rank
         chosen_rank=int(np.argmax(scores)),

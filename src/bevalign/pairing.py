@@ -12,6 +12,7 @@ IoU is axis-aligned throughout; proposal yaw never enters the box geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -34,6 +35,8 @@ class Box2D:
     h: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.cx, self.cy, self.w, self.h))):
+            raise ValueError(f"box values must be finite, got {self}")
         if self.w < 0 or self.h < 0:
             raise ValueError("box extents must be non-negative")
 
@@ -62,7 +65,7 @@ def iou(a: Box2D, b: Box2D) -> float:
 
 def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
     """iou(a, b) for every pair, shape (len(boxes_a), len(boxes_b)), by the
-    same float operations: for finite boxes, each entry is bit-equal to it."""
+    same float operations, so each entry is bit-equal to it."""
     a = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_a], dtype=np.float64).reshape(-1, 4)
     b = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_b], dtype=np.float64).reshape(-1, 4)
     ax0, ax1 = a[:, 0] - a[:, 2] / 2, a[:, 0] + a[:, 2] / 2

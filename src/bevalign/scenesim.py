@@ -535,12 +535,9 @@ def apply_spatial_noise(
     return _with_noise(scene, noise)
 
 
-def apply_temporal_noise(
-    scene: Scene, lag: float, rng: np.random.Generator | None = None
-) -> Scene:
+def apply_temporal_noise(scene: Scene, lag: float) -> Scene:
     """Sensor lag: the camera observes each object lag seconds in the past,
-    so its center shifts by -velocity * lag.  Pure kinematics; rng is
-    accepted for signature symmetry but never drawn from."""
+    so its center shifts by -velocity * lag.  Pure kinematics, no draws."""
     if lag < 0:
         raise ValueError("lag must be non-negative")
     if lag == 0:

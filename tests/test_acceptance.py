@@ -11,6 +11,7 @@ Run just this gate with:  pytest -v tests/test_acceptance.py
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from bevalign.experiment import (
     run_scene_pipeline,
 )
 from bevalign.alignfuse import align_instances
-from bevalign.instance import RoiFeature
 from bevalign.oracles import (
     check_bilinear,
     check_iou,
@@ -259,18 +259,11 @@ def test_c8_argmax_scale_invariance(verdict):
     checked = 0
     for i in range(20):
         pipe = run_scene_pipeline(gen_scene(cfg.scene, hash64(7, i)), cfg)
-        baseline = align_instances(
-            list(pipe.lidar_feats), list(pipe.camera_feats), head_l, head_c, cfg.align
-        ).chosen()
+        baseline = align_instances(pipe, head_l, head_c, cfg.align).chosen()
         checked += len(baseline)
         for lam in (0.1, 10.0):
-            scaled = [
-                RoiFeature(f.proposal_id, f.modality, f.vector * lam, f.box)
-                for f in pipe.camera_feats
-            ]
-            got = align_instances(
-                list(pipe.lidar_feats), scaled, head_l, head_c, cfg.align
-            ).chosen()
+            scaled = replace(pipe, camera_feats=pipe.camera_feats * lam)
+            got = align_instances(scaled, head_l, head_c, cfg.align).chosen()
             invariant = invariant and got == baseline
     verdict(
         8,

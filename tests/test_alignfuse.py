@@ -1,6 +1,7 @@
 """Neighbor-argmax alignment and fused-map assembly."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,41 +11,50 @@ from bevalign.alignfuse import (
     AlignEntry,
     AlignmentResult,
     FusedMap,
+    PipelineOutput,
     align_instances,
     fuse,
     reduce_roi_vector,
 )
 from bevalign.contrastive import ProjectionHead, ZeroVectorError
 from bevalign.grid import FeatureMap, GridMeta, MetaMismatchError, load_feature_map
-from bevalign.instance import Proposal, RoiFeature
+from bevalign.instance import Proposal
 from bevalign.oracles import align, cosine_sim, knn_brute
-from bevalign.pairing import Box2D
 
 D = 10  # 5 sample blocks x 2 channels
 EYE_HEADS = (ProjectionHead(np.eye(D)), ProjectionHead(np.eye(D)))
 
 
-def feat(pid, cx, cy, vector, modality="camera"):
-    return RoiFeature(pid, modality, np.asarray(vector, dtype=np.float64), Box2D(cx, cy, 1.0, 1.0))
+def scene_output(lidar, camera):
+    """The PipelineOutput of (cx, cy, vector) LiDAR and camera instances,
+    each a unit box."""
+
+    def split(insts):
+        props = tuple(
+            Proposal(float(cx), float(cy), 0.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0) for cx, cy, _ in insts
+        )
+        feats = np.array([v for _, _, v in insts], dtype=np.float64).reshape(len(insts), D)
+        return props, feats
+
+    return PipelineOutput(*split(lidar), *split(camera))
 
 
-def random_feats(n, seed, modality, spread=10.0):
+def centers(props):
+    return np.asarray([(p.cx, p.cy) for p in props])
+
+
+def random_insts(n, seed, spread=10.0):
     rng = np.random.default_rng(seed)
-    return [
-        feat(i, *rng.uniform(0.0, spread, size=2), rng.standard_normal(D), modality)
-        for i in range(n)
-    ]
+    return [(*rng.uniform(0.0, spread, size=2), rng.standard_normal(D)) for _ in range(n)]
 
 
 class TestAlign:
     def test_argmax_selects_best_candidate(self):
         v = np.zeros(D)
         v[0] = 1.0
-        lidar = feat(3, 0.0, 0.0, v, "lidar")
         off = np.zeros(D)
         off[1] = 1.0
-        cands = [feat(0, 1.0, 0.0, off), feat(1, 2.0, 0.0, v)]
-        entry = align(lidar, cands, *EYE_HEADS)
+        entry = align(3, v, np.array([off, v]), [0, 1], *EYE_HEADS)
         assert entry.lidar_index == 3
         assert entry.chosen_rank == 1
         assert entry.chosen_camera_index == 1
@@ -52,30 +62,29 @@ class TestAlign:
 
     def test_tied_scores_go_to_lower_rank(self):
         v = np.ones(D)
-        lidar = feat(0, 0.0, 0.0, v, "lidar")
-        worse = -v
-        cands = [feat(5, 1.0, 0.0, worse), feat(6, 2.0, 0.0, v), feat(7, 3.0, 0.0, v)]
-        entry = align(lidar, cands, *EYE_HEADS)
+        camera = np.array([v, v, -v])
+        entry = align(0, v, camera, [2, 1, 0], *EYE_HEADS)
+        assert entry.neighbor_indices == (2, 1, 0)
         assert entry.scores[1] == entry.scores[2]
-        assert entry.chosen_rank == 1
+        assert entry.chosen_rank == 1 and entry.chosen_camera_index == 1
 
     def test_scores_match_direct_recomputation(self):
         rng = np.random.default_rng(0)
         hl = ProjectionHead(rng.standard_normal((D, 4)))
         hc = ProjectionHead(rng.standard_normal((D, 4)))
-        lidar = feat(0, 0.0, 0.0, rng.standard_normal(D), "lidar")
-        cands = [feat(i, float(i), 0.0, rng.standard_normal(D)) for i in range(5)]
-        entry = align(lidar, cands, hl, hc, AlignConfig(metric="cosine"))
-        want = [cosine_sim(hl.project(lidar.vector), hc.project(c.vector)) for c in cands]
+        lidar = rng.standard_normal(D)
+        camera = rng.standard_normal((5, D))
+        near = [3, 0, 4, 1, 2]
+        entry = align(0, lidar, camera, near, hl, hc, AlignConfig(metric="cosine"))
+        want = [cosine_sim(hl.project(lidar), hc.project(camera[j])) for j in near]
         assert np.array_equal(entry.scores, np.asarray(want))
-        entry = align(lidar, cands, hl, hc, AlignConfig(metric="dot"))
-        want = [float(hl.project(lidar.vector) @ hc.project(c.vector)) for c in cands]
+        entry = align(0, lidar, camera, near, hl, hc, AlignConfig(metric="dot"))
+        want = [float(hl.project(lidar) @ hc.project(camera[j])) for j in near]
         assert np.array_equal(entry.scores, np.asarray(want))
 
     def test_empty_candidate_list_raises(self):
-        lidar = feat(0, 0.0, 0.0, np.ones(D), "lidar")
         with pytest.raises(ValueError):
-            align(lidar, [], *EYE_HEADS)
+            align(0, np.ones(D), np.empty((0, D)), [], *EYE_HEADS)
 
     def test_entry_validation(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -94,46 +103,35 @@ class TestAlign:
 
 class TestAlignInstances:
     def test_candidate_sets_match_brute_force_knn(self):
-        lidar = random_feats(6, 1, "lidar")
-        camera = random_feats(9, 2, "camera")
-        centers = np.asarray([c.center for c in camera])
+        pipe = scene_output(random_insts(6, 1), random_insts(9, 2))
+        cam_xy = centers(pipe.camera_proposals)
         for k in (1, 3, 20):
-            result = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=k))
-            for lf, entry in zip(lidar, result.entries):
-                want = knn_brute(centers, np.asarray(lf.center), min(k, 9))
-                assert entry.neighbor_indices == tuple(want)
+            result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=k))
+            for i, (xy, entry) in enumerate(zip(centers(pipe.lidar_proposals), result.entries)):
+                assert entry.lidar_index == i
+                assert entry.neighbor_indices == tuple(knn_brute(cam_xy, xy, min(k, 9)))
                 assert len(entry.scores) == min(k, 9)
 
     def test_distance_ties_prefer_lower_camera_index(self):
-        lidar = [feat(0, 0.0, 0.0, np.ones(D), "lidar")]
-        camera = [
-            feat(0, 1.0, 0.0, np.ones(D)),
-            feat(1, -1.0, 0.0, np.ones(D)),
-            feat(2, 0.0, 3.0, np.ones(D)),
-        ]
-        result = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=2))
+        v = np.ones(D)
+        pipe = scene_output([(0.0, 0.0, v)], [(1.0, 0.0, v), (-1.0, 0.0, v), (0.0, 3.0, v)])
+        result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=2))
         assert result.entries[0].neighbor_indices == (0, 1)
 
     def test_empty_camera_scene_passes_through(self):
-        lidar = random_feats(3, 3, "lidar")
-        result = align_instances(lidar, [], *EYE_HEADS)
+        result = align_instances(scene_output(random_insts(3, 3), []), *EYE_HEADS)
+        assert [e.lidar_index for e in result.entries] == [0, 1, 2]
         assert all(e.chosen_rank is None for e in result.entries)
         assert all(e.chosen_camera_index is None for e in result.entries)
         assert result.chosen() == {}
 
     def test_nearest_variant_keeps_rank_zero_with_distance_scores(self):
-        lidar = random_feats(4, 4, "lidar")
-        camera = random_feats(6, 5, "camera")
-        result = align_instances(
-            lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=3), nearest=True
-        )
-        by_id = {c.proposal_id: c for c in camera}
-        for lf, entry in zip(lidar, result.entries):
+        pipe = scene_output(random_insts(4, 4), random_insts(6, 5))
+        result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=3), nearest=True)
+        cam_xy = centers(pipe.camera_proposals)
+        for xy, entry in zip(centers(pipe.lidar_proposals), result.entries):
             assert entry.chosen_rank == 0
-            want = [
-                -float(np.sum((np.asarray(by_id[j].center) - np.asarray(lf.center)) ** 2))
-                for j in entry.neighbor_indices
-            ]
+            want = [-float(np.sum((cam_xy[j] - xy) ** 2)) for j in entry.neighbor_indices]
             assert np.array_equal(entry.scores, np.asarray(want))
 
     def test_dot_metric_is_dominated_by_norm_but_cosine_is_not(self):
@@ -144,57 +142,50 @@ class TestAlignInstances:
         v[0] = 1.0
         u = np.zeros(D)
         u[0] = u[1] = 1.0 / np.sqrt(2.0)
-        lidar = [feat(0, 0.0, 0.0, v, "lidar")]
-        camera = [feat(0, 1.0, 0.0, 0.1 * v), feat(1, 2.0, 0.0, 100.0 * u)]
-        dot = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(metric="dot"))
-        cos = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(metric="cosine"))
+        pipe = scene_output([(0.0, 0.0, v)], [(1.0, 0.0, 0.1 * v), (2.0, 0.0, 100.0 * u)])
+        dot = align_instances(pipe, *EYE_HEADS, AlignConfig(metric="dot"))
+        cos = align_instances(pipe, *EYE_HEADS, AlignConfig(metric="cosine"))
         assert dot.entries[0].chosen_camera_index == 1
         assert cos.entries[0].chosen_camera_index == 0
 
     def test_cosine_choice_invariant_to_camera_scale(self):
-        lidar = random_feats(6, 6, "lidar")
-        camera = random_feats(7, 7, "camera")
+        pipe = scene_output(random_insts(6, 6), random_insts(7, 7))
         cfg = AlignConfig(k_neighbors=3, metric="cosine")
-        base = align_instances(lidar, camera, *EYE_HEADS, cfg).chosen()
+        base = align_instances(pipe, *EYE_HEADS, cfg).chosen()
         for lam in (0.1, 10.0):
-            scaled = [
-                RoiFeature(c.proposal_id, c.modality, lam * c.vector, c.box) for c in camera
-            ]
-            assert align_instances(lidar, scaled, *EYE_HEADS, cfg).chosen() == base
+            scaled = replace(pipe, camera_feats=lam * pipe.camera_feats)
+            assert align_instances(scaled, *EYE_HEADS, cfg).chosen() == base
 
 
-def reference_alignment(lidar, camera, head_lidar, head_camera, cfg, nearest):
+def reference_alignment(pipe, head_lidar, head_camera, cfg, nearest):
     """The per-instance path align_instances replaces: brute-force neighbors,
     then the oracle align() per LiDAR instance, or minus the squared distance
     for the nearest-neighbor baseline."""
-    centers = np.asarray([c.center for c in camera])
+    cam_xy = centers(pipe.camera_proposals)
     entries = []
-    for lf in lidar:
-        cands = [camera[r] for r in knn_brute(centers, lf.center, cfg.k_neighbors)]
+    for i, xy in enumerate(centers(pipe.lidar_proposals)):
+        near = knn_brute(cam_xy, xy, cfg.k_neighbors)
         if not nearest:
-            entries.append(align(lf, cands, head_lidar, head_camera, cfg))
+            vec = pipe.lidar_feats[i]
+            entries.append(align(i, vec, pipe.camera_feats, near, head_lidar, head_camera, cfg))
             continue
-        d = [-float(np.sum((np.asarray(c.center) - np.asarray(lf.center)) ** 2)) for c in cands]
-        entries.append(AlignEntry(lf.proposal_id, tuple(c.proposal_id for c in cands), d, 0))
+        d = [-float(np.sum((cam_xy[j] - xy) ** 2)) for j in near]
+        entries.append(AlignEntry(i, tuple(near), d, 0))
     return entries
 
 
 def lattice_scene(seed):
     """Random LiDAR and camera instances on a coarse lattice, so distance
-    ties and coincident centers are common; camera ids are a shuffled range
-    that differs from list positions."""
+    ties and coincident centers are common."""
     rng = np.random.default_rng(seed)
     n_l, n_c = int(rng.integers(1, 13)), int(rng.integers(1, 11))
-    lidar = [
-        feat(i, *rng.integers(0, 4, size=2).astype(float), rng.standard_normal(D), "lidar")
-        for i in range(n_l)
-    ]
-    camera = [
-        feat(int(pid), *rng.integers(0, 4, size=2).astype(float), rng.standard_normal(D))
-        for pid in rng.permutation(n_c) + 100
-    ]
+
+    def insts(n):
+        return [(*rng.integers(0, 4, size=2), rng.standard_normal(D)) for _ in range(n)]
+
+    pipe = scene_output(insts(n_l), insts(n_c))
     heads = tuple(ProjectionHead(rng.standard_normal((D, 4))) for _ in range(2))
-    return lidar, camera, heads
+    return pipe, heads
 
 
 class TestAlignInstancesOracle:
@@ -205,11 +196,11 @@ class TestAlignInstancesOracle:
     def test_matches_per_instance_align(self, metric, variant, k):
         nearest = variant == "nearest"
         for seed in range(30):
-            lidar, camera, heads = lattice_scene(seed)
-            cfg = AlignConfig(k_neighbors=k or len(camera) + 4, metric=metric)
-            got = align_instances(lidar, camera, *heads, cfg, nearest=nearest).entries
-            want = reference_alignment(lidar, camera, *heads, cfg, nearest)
-            assert len(got) == len(want) == len(lidar)
+            pipe, heads = lattice_scene(seed)
+            cfg = AlignConfig(k_neighbors=k or len(pipe.camera_proposals) + 4, metric=metric)
+            got = align_instances(pipe, *heads, cfg, nearest=nearest).entries
+            want = reference_alignment(pipe, *heads, cfg, nearest)
+            assert len(got) == len(want) == len(pipe.lidar_proposals)
             for g, w in zip(got, want):
                 assert g.lidar_index == w.lidar_index
                 assert g.neighbor_indices == w.neighbor_indices
@@ -224,17 +215,17 @@ class TestAlignInstancesOracle:
                     assert g.chosen_rank == w.chosen_rank
 
     def test_zero_camera_candidate_raises_only_in_cosine_mode(self):
-        lidar = [feat(0, 0.0, 0.0, np.ones(D), "lidar")]
-        camera = [feat(0, 1.0, 0.0, np.ones(D)), feat(1, 2.0, 0.0, np.zeros(D))]
+        one, zero = np.ones(D), np.zeros(D)
+        pipe = scene_output([(0.0, 0.0, one)], [(1.0, 0.0, one), (2.0, 0.0, zero)])
         cosine = AlignConfig(k_neighbors=2, metric="cosine")
         with pytest.raises(ZeroVectorError):
-            align(lidar[0], camera, *EYE_HEADS, cosine)
+            align(0, pipe.lidar_feats[0], pipe.camera_feats, [0, 1], *EYE_HEADS, cosine)
         with pytest.raises(ZeroVectorError):
-            align_instances(lidar, camera, *EYE_HEADS, cosine)
+            align_instances(pipe, *EYE_HEADS, cosine)
         # the zero row is fine when no instance uses it, or under the dot metric
-        near = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=1))
+        near = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=1))
         assert near.chosen() == {0: 0}
-        dot = align_instances(lidar, camera, *EYE_HEADS, AlignConfig(k_neighbors=2, metric="dot"))
+        dot = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=2, metric="dot"))
         assert dot.entries[0].scores[1] == 0.0
 
 
@@ -289,7 +280,7 @@ def expected_instance_channels(meta, painted, channels):
 class TestFuse:
     def test_dense_channels_copied_bitwise(self):
         meta, lidar_map, camera_map = make_maps()
-        cam = [feat(0, 3.2, 4.1, np.arange(10.0))]
+        cam = np.arange(10.0)[None, :]
         fused = fuse(lidar_map, camera_map, AlignmentResult((entry_for(0, 0),)), [proposal(3.2, 4.1)], cam)
         assert fused.fmap.data.shape == (8, 8, 6)
         assert np.array_equal(fused.fmap.data[:, :, :2], lidar_map.data)
@@ -299,7 +290,7 @@ class TestFuse:
     def test_instance_footprint_matches_cell_oracle(self):
         meta, lidar_map, camera_map = make_maps()
         vec = np.arange(10.0)
-        cam = [feat(0, 3.2, 4.1, vec)]
+        cam = vec[None, :]
         prop = proposal(3.2, 4.1)
         fused = fuse(lidar_map, camera_map, AlignmentResult((entry_for(0, 0),)), [prop], cam)
         reduced = reduce_roi_vector(vec, 2).astype(np.float32)
@@ -312,7 +303,7 @@ class TestFuse:
     def test_overlap_keeps_higher_score(self):
         meta, lidar_map, camera_map = make_maps(seed=1)
         vec_a, vec_b = np.full(10, 2.0), np.full(10, 7.0)
-        cam = [feat(0, 3.0, 3.0, vec_a), feat(1, 5.0, 5.0, vec_b)]
+        cam = np.array([vec_a, vec_b])
         props = [proposal(3.0, 3.0, 4.0, 4.0, score=0.9), proposal(5.0, 5.0, 4.0, 4.0, score=0.5)]
         alignment = AlignmentResult((entry_for(0, 0), entry_for(1, 1)))
         fused = fuse(lidar_map, camera_map, alignment, props, cam)
@@ -327,7 +318,7 @@ class TestFuse:
     def test_equal_scores_keep_lower_lidar_index(self):
         meta, lidar_map, camera_map = make_maps(seed=2)
         vec_a, vec_b = np.full(10, 2.0), np.full(10, 7.0)
-        cam = [feat(0, 3.0, 3.0, vec_a), feat(1, 5.0, 5.0, vec_b)]
+        cam = np.array([vec_a, vec_b])
         props = [proposal(3.0, 3.0, 4.0, 4.0, score=0.7), proposal(5.0, 5.0, 4.0, 4.0, score=0.7)]
         alignment = AlignmentResult((entry_for(0, 0), entry_for(1, 1)))
         fused = fuse(lidar_map, camera_map, alignment, props, cam)
@@ -341,7 +332,7 @@ class TestFuse:
 
     def test_outside_box_and_unmatched_entries_paint_nothing(self):
         meta, lidar_map, camera_map = make_maps(seed=3)
-        cam = [feat(0, 100.0, 100.0, np.ones(10))]
+        cam = np.ones((1, 10))
         props = [proposal(100.0, 100.0), proposal(1.0, 1.0)]
         alignment = AlignmentResult(
             (entry_for(0, 0), AlignEntry(1, (), np.empty(0), None))
@@ -358,7 +349,7 @@ class TestFuse:
 
     def test_channel_layout_and_sidecar(self, tmp_path):
         meta, lidar_map, camera_map = make_maps(seed=4)
-        cam = [feat(0, 3.2, 4.1, np.arange(10.0))]
+        cam = np.arange(10.0)[None, :]
         fused = fuse(lidar_map, camera_map, AlignmentResult((entry_for(0, 0),)), [proposal(3.2, 4.1)], cam)
         layout = fused.channel_layout()
         assert layout == {"lidar": [0, 2], "camera": [2, 4], "instance": [4, 6]}

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevalign
 from bevalign.cli import main
 from bevalign.grid import load_feature_map
 from bevalign.scenesim import (
@@ -79,6 +83,27 @@ class TestOracleCommand:
 
     def test_zero_trials_is_a_usage_error(self):
         assert main(["oracle", "--kind", "iou", "--trials", "0"]) == 2
+
+    def test_oracles_load_only_with_a_check_command(self):
+        """`import bevalign.cli` leaves oracles and mpmath unloaded; a check
+        command loads them and still passes."""
+        script = (
+            "import sys, bevalign.cli\n"
+            "assert not {'mpmath', 'bevalign.oracles'} & set(sys.modules)\n"
+            "code = bevalign.cli.main(['oracle', '--kind', 'knn', '--trials', '5'])\n"
+            "assert 'mpmath' in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(bevalign.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "knn: PASS" in proc.stdout
 
 
 class TestRunCommand:

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 import bevalign
 from bevalign import experiment
-from bevalign.alignfuse import AlignConfig
+from bevalign.alignfuse import AlignConfig, PipelineOutput
 from bevalign.config import to_dict
 from bevalign.contrastive import LossConfig, TrainConfig, init_heads, train_heads
 from bevalign.experiment import (
     VARIANTS,
     ConfigError,
     ExperimentConfig,
-    ScenePipeline,
     load_config,
     mean_pair_loss,
     metrics_csv,
@@ -286,8 +285,7 @@ ROBUST_SEED_1 = ExperimentConfig(
 
 class TestMeanPairLoss:
     def test_zero_when_scene_has_no_pairs(self):
-        scene = gen_scene(TINY_SCENE, 1)
-        pipe = ScenePipeline(scene, (), (), (), (), None)
+        pipe = PipelineOutput((), np.empty((0, 30)), (), np.empty((0, 30)))
         heads = init_heads(30, 4, 0)
         assert mean_pair_loss(scene_pairs_for_training(pipe), *heads, TINY.train.loss) == 0.0
 
@@ -379,6 +377,22 @@ class TestRunExperiment:
         run_experiment(dataclasses.replace(TINY, n_scenes=6))
         assert len(made) == 6
         assert alive_at_call == [0] * 6
+
+    def test_each_noisy_scene_is_released_before_the_next_is_made(self, monkeypatch):
+        made: list[weakref.ref] = []
+        alive_at_call: list[int] = []
+
+        def tracked(scene, spec):
+            alive_at_call.append(sum(r() is not None for r in made))
+            noisy = apply_noise(scene, spec)
+            made.append(weakref.ref(noisy))
+            return noisy
+
+        monkeypatch.setattr(experiment, "apply_noise", tracked)
+        grid = (NoiseSpec(sigma_t=0.25), NoiseSpec(lag=0.5))
+        run_experiment(dataclasses.replace(TINY, n_scenes=4, noise_grid=grid))
+        assert len(made) == 4
+        assert alive_at_call == [0] * 4
 
     def test_eval_on_train_fallback(self):
         cfg = ExperimentConfig(

@@ -6,12 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bevalign.grid import FeatureMap, GridMeta, default_meta
+from bevalign.grid import (
+    FeatureMap,
+    GridMeta,
+    bilinear_sample,
+    clamp_to_grid,
+    default_meta,
+    world_to_grid,
+)
 from bevalign.instance import (
     InstanceConfig,
     InvalidKernelError,
     Proposal,
-    RoiFeature,
     extract_instances,
     proposals_from_json,
     proposals_to_json,
@@ -197,15 +203,14 @@ class TestRoiSample:
         meta = GridMeta(0.0, 8.0, 0.0, 8.0, 1.0)
         fmap = FeatureMap(meta=meta, data=np.full((8, 8, 3), 2.5, dtype=np.float32))
         p = Proposal(4.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, [p])[0]
-        assert roi.vector.shape == (15,)
-        np.testing.assert_allclose(roi.vector, 2.5)
+        feats = roi_sample(fmap, [p])
+        assert feats.shape == (1, 15) and feats.dtype == np.float64
+        np.testing.assert_allclose(feats, 2.5)
 
     def test_sample_point_order_and_positions(self):
         fmap = self.make_gradient_map()
         p = Proposal(6.0, 9.0, 0.0, 2.0, 4.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, [p])[0]
-        xy = roi.vector.reshape(5, 2)
+        xy = roi_sample(fmap, [p])[0].reshape(5, 2)
         # [center, up, down, left, right] with hw=1, hh=2
         want = [(6.0, 9.0), (6.0, 11.0), (6.0, 7.0), (5.0, 9.0), (7.0, 9.0)]
         np.testing.assert_allclose(xy, want, atol=1e-9)
@@ -213,36 +218,49 @@ class TestRoiSample:
     def test_border_points_clamp(self):
         fmap = self.make_gradient_map()
         p = Proposal(0.5, 0.5, 0.0, 4.0, 4.0, 2.0, 0.0, 1.0, 0)
-        xy = roi_sample(fmap, [p])[0].vector.reshape(5, 2)
+        xy = roi_sample(fmap, [p])[0].reshape(5, 2)
         # left/down points fall outside and clamp to the border
         np.testing.assert_allclose(xy[2], (0.5, 0.0), atol=1e-9)
         np.testing.assert_allclose(xy[3], (0.0, 0.5), atol=1e-9)
 
-    def test_box_matches_proposal(self):
-        fmap = self.make_gradient_map()
-        p = Proposal(6.0, 9.0, 0.0, 2.0, 4.0, 2.0, 0.0, 1.0, 0)
-        roi = roi_sample(fmap, [p])[0]
-        assert (roi.box.cx, roi.box.cy, roi.box.w, roi.box.h) == (6.0, 9.0, 2.0, 4.0)
-        assert roi.center == (6.0, 9.0)
-
-    def test_vector_validation(self):
-        with pytest.raises(ValueError, match="5\\*C"):
-            RoiFeature(0, "lidar", np.zeros(7), None)
-        with pytest.raises(ValueError, match="NaN"):
-            RoiFeature(0, "lidar", np.full(5, np.nan), None)
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_rows_equal_five_scalar_reads(self, n):
+        """Row i is proposals[i]'s five bilinear reads, bit for bit, and the
+        matrix is read-only with shape (N, 5*C) even for N = 0."""
+        rng = np.random.default_rng(n)
+        meta = GridMeta(-4.0, 4.0, -4.0, 4.0, 0.5)
+        data = rng.standard_normal((meta.height, meta.width, 3)).astype(np.float32)
+        fmap = FeatureMap(meta=meta, data=data)
+        props = [
+            Proposal(*rng.uniform(-5.0, 5.0, 2), 0.0, *rng.uniform(0.1, 4.0, 3), 0.0, 0.5, 0)
+            for _ in range(n)
+        ]
+        feats = roi_sample(fmap, props)
+        assert feats.shape == (n, 15) and feats.dtype == np.float64
+        assert not feats.flags.writeable
+        for p, row in zip(props, feats):
+            hw, hh = p.width / 2.0, p.height / 2.0
+            points = [(0.0, 0.0), (0.0, hh), (0.0, -hh), (-hw, 0.0), (hw, 0.0)]
+            want = []
+            for dx, dy in points:
+                q = clamp_to_grid(world_to_grid((p.cx + dx, p.cy + dy), meta), meta)
+                want.append(bilinear_sample(fmap, (float(q[0]), float(q[1]))))
+            assert np.array_equal(row, np.concatenate(want))
 
 
 class TestExtractInstances:
-    def test_ids_follow_score_order(self):
+    def test_rows_follow_score_order(self):
         heat = np.zeros((9, 9))
         heat[2, 2] = 0.5
         heat[6, 6] = 0.9
         meta = GridMeta(0.0, 9.0, 0.0, 9.0, 1.0)
-        fmap = FeatureMap(meta=meta, data=np.ones((9, 9, 2), dtype=np.float32))
-        out = extract_instances(fmap, heat_map(heat, meta), InstanceConfig())
-        assert [p.score for p, _ in out] == pytest.approx([0.9, 0.5])
-        assert [f.proposal_id for _, f in out] == [0, 1]
-        assert all(f.modality == "lidar" for _, f in out)
+        data = np.zeros((9, 9, 2), dtype=np.float32)
+        data[:, :, 0] = np.arange(9)[None, :]
+        fmap = FeatureMap(meta=meta, data=data)
+        props, feats = extract_instances(fmap, heat_map(heat, meta), InstanceConfig())
+        assert [p.score for p in props] == pytest.approx([0.9, 0.5])
+        assert np.array_equal(feats, roi_sample(fmap, props))
+        assert feats[0, 0] == 6.0 and feats[1, 0] == 2.0
 
     def test_meta_mismatch_rejected(self):
         fmap = FeatureMap(
@@ -277,3 +295,17 @@ class TestProposalSerialization:
             Proposal(0, 0, 0, 0.0, 1.0, 1.0, 0.0, 0.5, 0)
         with pytest.raises(ValueError, match="score"):
             Proposal(0, 0, 0, 1.0, 1.0, 1.0, 0.0, 1.5, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", ["cx", "cy", "z", "width", "height", "length", "yaw", "score"]
+    )
+    def test_non_finite_field_rejected(self, name, bad):
+        fields = dict(cx=0.0, cy=0.0, z=0.0, width=2.0, height=2.0, length=2.0, yaw=0.0, score=0.5)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Proposal(**{**fields, name: bad}, label=0)
+
+    def test_json_nan_rejected(self):
+        text = proposals_to_json([Proposal(1.0, 2.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.9, 0)])
+        with pytest.raises(ValueError, match="cx must be finite"):
+            proposals_from_json(text.replace('"cx": 1.0', '"cx": NaN'))

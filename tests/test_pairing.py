@@ -61,6 +61,13 @@ class TestIou:
         with pytest.raises(ValueError):
             Box2D(0, 0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["cx", "cy", "w", "h"])
+    def test_non_finite_value_rejected(self, name, bad):
+        # a NaN centre used to reach iou, which then returned NaN
+        with pytest.raises(ValueError, match="finite"):
+            Box2D(**{**dict(cx=0.0, cy=0.0, w=2.0, h=2.0), name: bad})
+
     @given(a=boxes, b=boxes)
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_bounded(self, a, b):

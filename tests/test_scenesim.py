@@ -439,13 +439,6 @@ class TestTemporalNoise:
         with pytest.raises(ValueError):
             apply_temporal_noise(scene, -0.5)
 
-    def test_rng_argument_is_never_drawn_from(self):
-        scene = gen_scene(SMALL, 7)
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        apply_temporal_noise(scene, 0.5, rng)
-        assert rng.bit_generator.state == before
-
     def test_spatial_and_temporal_order_is_irrelevant_bitwise(self):
         scene = gen_scene(SMALL, 7)
         a = apply_temporal_noise(
