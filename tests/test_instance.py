@@ -223,6 +223,10 @@ class TestRoiSample:
         np.testing.assert_allclose(xy[2], (0.5, 0.0), atol=1e-9)
         np.testing.assert_allclose(xy[3], (0.0, 0.5), atol=1e-9)
 
+    def test_box_matches_proposal(self):
+        p = Proposal(6.0, 9.0, 0.0, 2.0, 4.0, 2.0, 0.0, 1.0, 0)
+        assert (p.box.cx, p.box.cy, p.box.w, p.box.h) == (6.0, 9.0, 2.0, 4.0)
+
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_rows_equal_five_scalar_reads(self, n):
         """Row i is proposals[i]'s five bilinear reads, bit for bit, and the
