@@ -127,8 +127,7 @@ class PlanarTransform:
     ty: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        check_fields(self)
 
     def inverse(self) -> "PlanarTransform":
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -164,7 +163,8 @@ def grid_to_world(q: tuple[float, float], meta: GridMeta) -> tuple[float, float]
 
 
 def apply_transform(p: tuple[float, float], t: PlanarTransform) -> tuple[float, float]:
-    """Rigid motion of a world point: R(theta) p + t."""
+    """Rigid motion of a world point: R(theta) p + t.  p may also be a pair
+    of coordinate arrays, moved elementwise with the same arithmetic."""
     c, s = math.cos(t.theta), math.sin(t.theta)
     x, y = p
     return c * x - s * y + t.tx, s * x + c * y + t.ty

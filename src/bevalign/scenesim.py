@@ -72,53 +72,6 @@ def hash64(parent_seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class SceneObject:
-    obj_id: int
-    label: str
-    center: tuple[float, float]
-    dims: tuple[float, float, float]
-    yaw: float
-    velocity: tuple[float, float]
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not all(d > 0 for d in self.dims):
-            raise ValueError(f"object dims must be positive, got {self.dims}")
-        zv = np.asarray(self.z, dtype=np.float64)
-        if not np.isfinite(zv).all():
-            raise ValueError("latent z contains NaN or Inf")
-        zv.flags.writeable = False
-        object.__setattr__(self, "z", zv)
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.hypot(self.dims[0], self.dims[1]))
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.obj_id,
-            "label": self.label,
-            "center": list(self.center),
-            "dims": list(self.dims),
-            "yaw": self.yaw,
-            "velocity": list(self.velocity),
-            "z": [float(v) for v in self.z],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneObject":
-        return cls(
-            obj_id=int(d["id"]),
-            label=str(d["label"]),
-            center=(float(d["center"][0]), float(d["center"][1])),
-            dims=tuple(float(v) for v in d["dims"]),
-            yaw=float(d["yaw"]),
-            velocity=(float(d["velocity"][0]), float(d["velocity"][1])),
-            z=np.asarray(d["z"], dtype=np.float64),
-        )
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Noise magnitudes: per-axis translation sigma (m), rotation sigma
     (rad), and sensor lag (s)."""
@@ -140,7 +93,10 @@ class AppliedNoise:
 
     spec: NoiseSpec = field(default_factory=NoiseSpec)
     transform: PlanarTransform = field(default_factory=identity_transform)
-    lag_total: float = 0.0
+    lag_total: float = field(default=0.0, metadata={"ge": 0})
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return {
@@ -207,19 +163,60 @@ class SceneConfig:
         return m.x_min + pad, m.x_max - pad, m.y_min + pad, m.y_max - pad
 
 
+# Each per-object array of a Scene and the shape of one of its rows; None
+# is a width the config sets.
+_OBJECT_ROWS = {
+    "centers": (2,),
+    "dims": (3,),
+    "yaw": (),
+    "velocity": (2,),
+    "z": (None,),
+    "lidar_features": (None,),
+    "camera_features": (None,),
+    "camera_centers": (2,),
+}
+
+
 @dataclass(frozen=True)
 class Scene:
-    objects: tuple[SceneObject, ...]
+    """Ground truth and rendered maps of one scene.  Row i of every
+    per-object array is object i: its label, true (LiDAR-side) center,
+    dims, yaw, velocity, latent z, feature vectors and rendered camera
+    center.  The arrays are read-only float64, finite, and dims positive."""
+
+    labels: tuple[str, ...]
+    centers: np.ndarray
+    dims: np.ndarray
+    yaw: np.ndarray
+    velocity: np.ndarray
+    z: np.ndarray
     lidar_features: np.ndarray
     camera_features: np.ndarray
+    camera_centers: np.ndarray
     lidar_feat: FeatureMap
     lidar_heat: FeatureMap
     camera_feat: FeatureMap
     camera_heat: FeatureMap
-    camera_centers: tuple[tuple[float, float], ...]
     noise: AppliedNoise
     seed: int
     config: SceneConfig
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        for name, row in _OBJECT_ROWS.items():
+            a = getattr(self, name)
+            # a frozen float64 array, as every noise point passes on, is kept
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+                a = np.array(a, dtype=np.float64)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
+            want = (n, *row)
+            if a.ndim != len(want) or any(w not in (None, got) for w, got in zip(want, a.shape)):
+                raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} contains NaN or Inf")
+        if not (self.dims > 0).all():
+            raise ValueError("object dims must be positive")
 
     @property
     def calibration(self) -> PlanarTransform:
@@ -227,17 +224,15 @@ class Scene:
 
     @property
     def n_objects(self) -> int:
-        return len(self.objects)
+        return len(self.labels)
 
     def correspondence(self) -> list[dict]:
         """Per object: true (lidar-side) center and rendered camera center."""
         return [
-            {
-                "object_id": obj.obj_id,
-                "lidar_center": list(obj.center),
-                "camera_center": list(self.camera_centers[i]),
-            }
-            for i, obj in enumerate(self.objects)
+            {"object_id": i, "lidar_center": true, "camera_center": camera}
+            for i, (true, camera) in enumerate(
+                zip(self.centers.tolist(), self.camera_centers.tolist())
+            )
         ]
 
 
@@ -419,13 +414,13 @@ def _bump_weights(
 
 
 def _render_maps(
-    cfg: SceneConfig, centers: list[tuple[float, float]], features: np.ndarray, modality: str
+    cfg: SceneConfig, centers: np.ndarray, features: np.ndarray, modality: str
 ) -> tuple[FeatureMap, FeatureMap]:
-    """One modality's feature map and heatmap."""
-    feat = _render_features(
-        cfg.meta, centers, features, cfg.bump_sigma_feat, cfg.truncation, modality
-    )
-    heat = _render_heat(cfg.meta, centers, cfg.bump_sigma_heat, cfg.truncation, modality)
+    """One modality's feature map and heatmap; the bump maths runs on the
+    (N, 2) centers as Python floats."""
+    xy = centers.tolist()
+    feat = _render_features(cfg.meta, xy, features, cfg.bump_sigma_feat, cfg.truncation, modality)
+    heat = _render_heat(cfg.meta, xy, cfg.bump_sigma_heat, cfg.truncation, modality)
     return feat, heat
 
 
@@ -439,74 +434,59 @@ def gen_scene(cfg: SceneConfig, seed: int) -> Scene:
     placed = _place_centers(rng, cfg)
     a_l, a_c = feature_matrices(cfg)
 
-    objects = []
-    lidar_features = np.empty((cfg.n_objects, cfg.c_lidar))
-    camera_features = np.empty((cfg.n_objects, cfg.c_camera))
-    for i, (center, dims) in enumerate(placed):
-        yaw = float(rng.uniform(-np.pi, np.pi))
-        label = OBJECT_LABELS[int(rng.integers(0, len(OBJECT_LABELS)))]
-        if rng.uniform() < cfg.static_frac:
-            velocity = (0.0, 0.0)
-        else:
+    n = cfg.n_objects
+    labels = []
+    yaw = np.empty(n)
+    velocity = np.zeros((n, 2))
+    z = np.empty((n, cfg.d_z))
+    lidar_features = np.empty((n, cfg.c_lidar))
+    camera_features = np.empty((n, cfg.c_camera))
+    for i in range(n):
+        yaw[i] = rng.uniform(-np.pi, np.pi)
+        labels.append(OBJECT_LABELS[int(rng.integers(0, len(OBJECT_LABELS)))])
+        if rng.uniform() >= cfg.static_frac:
             speed = rng.uniform(cfg.v_min, cfg.v_max)
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            velocity = (float(speed * np.cos(angle)), float(speed * np.sin(angle)))
-        z = rng.standard_normal(cfg.d_z)
-        lidar_features[i] = a_l @ z + cfg.sigma_f * rng.standard_normal(cfg.c_lidar)
-        camera_features[i] = a_c @ z + cfg.sigma_f * rng.standard_normal(cfg.c_camera)
-        objects.append(
-            SceneObject(
-                obj_id=i,
-                label=label,
-                center=center,
-                dims=dims,
-                yaw=yaw,
-                velocity=velocity,
-                z=z,
-            )
-        )
+            velocity[i] = speed * np.cos(angle), speed * np.sin(angle)
+        z[i] = rng.standard_normal(cfg.d_z)
+        lidar_features[i] = a_l @ z[i] + cfg.sigma_f * rng.standard_normal(cfg.c_lidar)
+        camera_features[i] = a_c @ z[i] + cfg.sigma_f * rng.standard_normal(cfg.c_camera)
 
-    centers = [o.center for o in objects]
+    centers = np.array([center for center, _ in placed])
     lf, lh = _render_maps(cfg, centers, lidar_features, "lidar")
     cf, ch = _render_maps(cfg, centers, camera_features, "camera")
-    lidar_features.flags.writeable = False
-    camera_features.flags.writeable = False
     return Scene(
-        objects=tuple(objects),
+        labels=tuple(labels),
+        centers=centers,
+        dims=[dims for _, dims in placed],
+        yaw=yaw,
+        velocity=velocity,
+        z=z,
         lidar_features=lidar_features,
         camera_features=camera_features,
+        camera_centers=centers,
         lidar_feat=lf,
         lidar_heat=lh,
         camera_feat=cf,
         camera_heat=ch,
-        camera_centers=tuple(centers),
         noise=AppliedNoise(),
         seed=seed,
         config=cfg,
     )
 
 
-def _camera_centers_from_state(scene: Scene, noise: AppliedNoise) -> list[tuple[float, float]]:
+def _with_noise(scene: Scene, noise: AppliedNoise) -> Scene:
     """Camera center = rigid transform of the true center minus
     velocity * accumulated lag.  Computing from the true state every time
     makes spatial and temporal application order-independent bitwise."""
-    out = []
-    for obj in scene.objects:
-        x, y = apply_transform(obj.center, noise.transform)
-        out.append(
-            (x - obj.velocity[0] * noise.lag_total, y - obj.velocity[1] * noise.lag_total)
-        )
-    return out
-
-
-def _with_noise(scene: Scene, noise: AppliedNoise) -> Scene:
-    camera_centers = _camera_centers_from_state(scene, noise)
+    x, y = apply_transform(scene.centers.T, noise.transform)
+    camera_centers = np.column_stack((x, y)) - scene.velocity * noise.lag_total
     cf, ch = _render_maps(scene.config, camera_centers, scene.camera_features, "camera")
     return replace(
         scene,
         camera_feat=cf,
         camera_heat=ch,
-        camera_centers=tuple(camera_centers),
+        camera_centers=camera_centers,
         noise=noise,
     )
 
@@ -516,8 +496,7 @@ def apply_spatial_noise(
 ) -> Scene:
     """One rigid calibration perturbation for the whole scene: theta then
     tx then ty are drawn from rng.  The LiDAR side is untouched."""
-    if sigma_t < 0 or sigma_r < 0:
-        raise ValueError("noise magnitudes must be non-negative")
+    NoiseSpec(sigma_t=sigma_t, sigma_r=sigma_r)  # a bad magnitude fails before any draw
     theta = float(rng.normal(0.0, sigma_r)) if sigma_r > 0 else 0.0
     tx = float(rng.normal(0.0, sigma_t)) if sigma_t > 0 else 0.0
     ty = float(rng.normal(0.0, sigma_t)) if sigma_t > 0 else 0.0
@@ -538,8 +517,8 @@ def apply_spatial_noise(
 def apply_temporal_noise(scene: Scene, lag: float) -> Scene:
     """Sensor lag: the camera observes each object lag seconds in the past,
     so its center shifts by -velocity * lag.  Pure kinematics, no draws."""
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
+    # the increment, not the sum: a negative lag fails even where the sum stays >= 0
+    NoiseSpec(lag=lag)
     if lag == 0:
         return scene
     old = scene.noise
@@ -583,30 +562,26 @@ class Metrics:
 def assign_proposals(
     centers: list[tuple[float, float]],
     scores: list[float],
-    objects: tuple[SceneObject, ...],
-    object_centers: list[tuple[float, float]],
+    object_centers: np.ndarray,
+    dims: np.ndarray,
     radius_scale: float = 1.5,
 ) -> dict[int, int]:
     """Greedy proposal-to-object assignment: proposals in descending score
-    order (ties -> lower index) claim their nearest unclaimed object within
-    radius_scale * the object's box diagonal.  Returns proposal -> object."""
-    order = sorted(range(len(centers)), key=lambda i: (-scores[i], i))
-    gates = [radius_scale * obj.diagonal for obj in objects]
-    claimed: set[int] = set()
+    order (ties -> lower index) claim their nearest unclaimed object (ties ->
+    lower index) within radius_scale * the object's box diagonal, from its
+    (O, 3) dims.  Returns proposal -> object, in claim order."""
+    if len(centers) == 0 or len(object_centers) == 0:
+        return {}
+    delta = np.asarray(centers)[:, None, :] - np.asarray(object_centers)[None, :, :]
+    d = np.hypot(delta[..., 0], delta[..., 1])
+    # out of reach and, once claimed, taken: at infinity
+    d = np.where(d <= radius_scale * np.hypot(dims[:, 0], dims[:, 1]), d, np.inf)
     out: dict[int, int] = {}
-    for pi in order:
-        px, py = centers[pi]
-        best_obj, best_d = None, np.inf
-        for oi, gate in enumerate(gates):
-            if oi in claimed:
-                continue
-            ox, oy = object_centers[oi]
-            d = float(np.hypot(px - ox, py - oy))
-            if d <= gate and d < best_d:
-                best_obj, best_d = oi, d
-        if best_obj is not None:
-            claimed.add(best_obj)
-            out[pi] = best_obj
+    for pi in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist():
+        oi = int(np.argmin(d[pi]))
+        if d[pi, oi] < np.inf:
+            out[pi] = oi
+            d[:, oi] = np.inf
     return out
 
 
@@ -625,14 +600,13 @@ def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:
 
     lidar_centers = [(p.cx, p.cy) for p in out.lidar_proposals]
     camera_centers = [(p.cx, p.cy) for p in out.camera_proposals]
-    true_centers = [o.center for o in scene.objects]
-    cam_true = list(scene.camera_centers)
+    cam_true = scene.camera_centers.tolist()
 
     lidar_to_obj = assign_proposals(
-        lidar_centers, [p.score for p in out.lidar_proposals], scene.objects, true_centers
+        lidar_centers, [p.score for p in out.lidar_proposals], scene.centers, scene.dims
     )
     camera_to_obj = assign_proposals(
-        camera_centers, [p.score for p in out.camera_proposals], scene.objects, cam_true
+        camera_centers, [p.score for p in out.camera_proposals], scene.camera_centers, scene.dims
     )
     obj_to_camera = {oi: pi for pi, oi in camera_to_obj.items()}
     chosen = out.alignment.chosen()
@@ -641,6 +615,7 @@ def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:
     correct = 0
     err_before: list[float] = []
     err_after: list[float] = []
+    # in claim order, the order in which np.mean sums the errors
     for li, oi in lidar_to_obj.items():
         matched += 1
         truth = obj_to_camera.get(oi)
@@ -668,6 +643,13 @@ def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:
     )
 
 
+# objects.json key of each per-object value after "id" and "label", in file
+# order, and the Scene array that holds it
+_OBJECT_JSON = {
+    "center": "centers", "dims": "dims", "yaw": "yaw", "velocity": "velocity", "z": "z",
+}
+
+
 def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
     """Scene bundle: four map binaries with sidecars, objects.json (with the
     full generation config), noise.json, correspondence.json."""
@@ -677,9 +659,13 @@ def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
     save_feature_map(d / "lidar_heat", scene.lidar_heat)
     save_feature_map(d / "camera_feat", scene.camera_feat)
     save_feature_map(d / "camera_heat", scene.camera_heat)
+    columns = [getattr(scene, name).tolist() for name in _OBJECT_JSON.values()]
     objs = {
         "seed": scene.seed,
-        "objects": [o.to_dict() for o in scene.objects],
+        "objects": [
+            {"id": i, "label": label, **dict(zip(_OBJECT_JSON, row))}
+            for i, (label, *row) in enumerate(zip(scene.labels, *columns))
+        ],
         "lidar_features": scene.lidar_features.tolist(),
         "camera_features": scene.camera_features.tolist(),
         "config": to_dict(scene.config),
@@ -710,21 +696,19 @@ def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
         ),
         lag_total=float(noise_d["lag_total"]),
     )
-    lidar_features = np.asarray(objs["lidar_features"], dtype=np.float64)
-    camera_features = np.asarray(objs["camera_features"], dtype=np.float64)
-    lidar_features.flags.writeable = False
-    camera_features.flags.writeable = False
+    rows = objs["objects"]
+    if [o["id"] for o in rows] != list(range(len(rows))):
+        raise ValueError("object ids must run 0..N-1 in order")
     return Scene(
-        objects=tuple(SceneObject.from_dict(o) for o in objs["objects"]),
-        lidar_features=lidar_features,
-        camera_features=camera_features,
+        labels=tuple(str(o["label"]) for o in rows),
+        **{name: [o[key] for o in rows] for key, name in _OBJECT_JSON.items()},
+        lidar_features=objs["lidar_features"],
+        camera_features=objs["camera_features"],
+        camera_centers=[c["camera_center"] for c in corr],
         lidar_feat=load_feature_map(d / "lidar_feat"),
         lidar_heat=load_feature_map(d / "lidar_heat"),
         camera_feat=load_feature_map(d / "camera_feat"),
         camera_heat=load_feature_map(d / "camera_heat"),
-        camera_centers=tuple(
-            (float(c["camera_center"][0]), float(c["camera_center"][1])) for c in corr
-        ),
         noise=noise,
         seed=int(objs["seed"]),
         config=cfg,

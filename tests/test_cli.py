@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, and determinism."""
 
+import importlib
 import json
 import os
 import shutil
@@ -400,3 +401,13 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_console_script_names_cli_main():
+    """The `[project.scripts]` entry resolves to bevalign.cli.main, checked
+    without installing the package."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["bevalign"]
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main

@@ -178,9 +178,11 @@ class TestPlanarTransform:
         assert abs(got[0] - want[0]) < 1e-12
         assert abs(got[1] - want[1]) < 1e-12
 
-    def test_non_finite_theta_raises(self):
+    @pytest.mark.parametrize("name", ["theta", "tx", "ty"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_raise(self, name, value):
         with pytest.raises(ValueError):
-            PlanarTransform(theta=float("nan"))
+            PlanarTransform(**{name: value})
 
 
 class TestFeatureMap:
