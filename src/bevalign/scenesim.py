@@ -13,7 +13,8 @@ Rendering
     Feature maps are sum-composed Gaussian bumps (weight exactly 1 at the
     center cell, truncated at 4 sigma); heatmaps are max-composed unit-peak
     bumps, so every rendered center is a strict local maximum.  Only the
-    cells inside some bump window are computed.
+    cells inside some bump window are computed, all objects' in one batched
+    pass; feature maps sum each cell's bumps in object order.
 
 Noise
     Spatial miscalibration is ONE rigid planar transform per scene applied
@@ -153,6 +154,10 @@ class SceneConfig:
             raise ConfigError("v_max", f"must be >= v_min, got {self.v_max}")
         if any(lo > hi for lo, hi in zip(self.dims_low, self.dims_high)):
             raise ConfigError("dims_high", f"must be >= dims_low per axis, got {self.dims_high}")
+        # the widest bump window's reach (m) must be finite in cells to have integer edges
+        reach = self.truncation * max(self.bump_sigma_feat, self.bump_sigma_heat)
+        if not math.isfinite(reach / self.meta.resolution):
+            raise ConfigError("truncation", f"gives an infinite bump reach, got {self.truncation}")
         x_lo, x_hi, y_lo, y_hi = self.placement_box()
         if not all(lo <= hi and math.isfinite(hi - lo) for lo, hi in [(x_lo, x_hi), (y_lo, y_hi)]):
             raise ConfigError("margin", f"leaves no finite placement box, got {self.margin}")
@@ -337,9 +342,36 @@ def _place_centers(
     return placed
 
 
+def _bumps(
+    meta: GridMeta, centers: np.ndarray, sigma: float, truncation: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each grid node in the window within truncation * sigma of each of the
+    (N, 2) centers: object index, flat cell index r * width + c, and weight
+    exp(-d^2 / 2 sigma^2), zero beyond the truncation radius.  Entries run in
+    object order, row-major within a window; only window cells are computed."""
+    res = meta.resolution
+    reach = truncation * sigma / res
+    rr = (centers[:, 1] - meta.y_min) / res
+    cc = (centers[:, 0] - meta.x_min) / res
+    # clipped while still float, so an index 1e200 cells away never meets an int cast
+    r0 = np.clip(np.ceil(rr - reach), 0, meta.height).astype(np.int64)
+    r1 = np.clip(np.floor(rr + reach), -1, meta.height - 1).astype(np.int64)
+    c0 = np.clip(np.ceil(cc - reach), 0, meta.width).astype(np.int64)
+    c1 = np.clip(np.floor(cc + reach), -1, meta.width - 1).astype(np.int64)
+    n_cols = np.maximum(c1 - c0 + 1, 0)
+    sizes = np.maximum(r1 - r0 + 1, 0) * n_cols
+    obj = np.repeat(np.arange(len(sizes)), sizes)
+    k = np.arange(obj.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows, cols = r0[obj] + k // n_cols[obj], c0[obj] + k % n_cols[obj]
+    d2 = ((rows - rr[obj]) * res) ** 2 + ((cols - cc[obj]) * res) ** 2
+    weights = np.exp(-d2 / (2.0 * sigma * sigma))
+    weights[d2 > (truncation * sigma) ** 2] = 0.0
+    return obj, rows * meta.width + cols, weights
+
+
 def _render_features(
     meta: GridMeta,
-    centers: list[tuple[float, float]],
+    centers: np.ndarray,
     features: np.ndarray,
     sigma: float,
     truncation: float,
@@ -350,77 +382,40 @@ def _render_features(
     Only the cells inside some bump window are summed, in float64 and in
     object order, then rounded once into the float32 map: the bytes of a
     dense float64 render without its full-size buffer."""
-    h, w, c = meta.height, meta.width, features.shape[1]
-    out = np.zeros((h, w, c), dtype=np.float32)
-    cells, values = [], []
-    for center, f in zip(centers, features):
-        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
-        if weights is None:
-            continue
-        rows = np.arange(r0, r0 + weights.shape[0])
-        cols = np.arange(c0, c0 + weights.shape[1])
-        cells.append((rows[:, None] * w + cols[None, :]).ravel())
-        values.append((weights[:, :, None] * f[None, None, :]).reshape(-1, c))
-    if cells:
-        # np.add.at applies repeated indices one after another, so each
-        # cell accumulates its bumps in object order
-        flat, inverse = np.unique(np.concatenate(cells), return_inverse=True)
-        sums = np.zeros((flat.size, c))
-        np.add.at(sums, inverse, np.concatenate(values))
-        out.reshape(-1, c)[flat] = sums
+    c = features.shape[1]
+    obj, flat, weights = _bumps(meta, centers, sigma, truncation)
+    cells, inverse = np.unique(flat, return_inverse=True)
+    sums = np.zeros((cells.size, c))
+    # np.add.at applies repeated indices one after another, so each cell
+    # accumulates its bumps in object order
+    np.add.at(sums, inverse, weights[:, None] * features[obj])
+    out = np.zeros((meta.height, meta.width, c), dtype=np.float32)
+    out.reshape(-1, c)[cells] = sums
     return FeatureMap(meta=meta, data=out, modality=modality)
 
 
 def _render_heat(
-    meta: GridMeta,
-    centers: list[tuple[float, float]],
-    sigma: float,
-    truncation: float,
-    modality: str,
+    meta: GridMeta, centers: np.ndarray, sigma: float, truncation: float, modality: str
 ) -> FeatureMap:
     """Max-composed unit-peak bumps: one strict local maximum per center.
 
     Rounding to float32 is monotone, so the max of rounded weights equals
     the rounded max of the float64 weights."""
+    flat, weights = _bumps(meta, centers, sigma, truncation)[1:]
     out = np.zeros((meta.height, meta.width, 1), dtype=np.float32)
-    for center in centers:
-        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
-        if weights is None:
-            continue
-        view = out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1], 0]
-        np.maximum(view, weights.astype(np.float32), out=view)
+    np.maximum.at(out.reshape(-1), flat, weights.astype(np.float32))
+    del flat, weights  # freed before FeatureMap's finiteness scan, which with the map is the peak
     return FeatureMap(meta=meta, data=out, modality=modality)
-
-
-def _bump_weights(
-    meta: GridMeta, center: tuple[float, float], sigma: float, truncation: float
-) -> tuple[np.ndarray | None, int, int]:
-    """Gaussian weights exp(-d^2 / 2 sigma^2) on the lattice window within
-    truncation * sigma of the center; zero outside the truncation radius."""
-    rr, cc = world_to_grid(center, meta)
-    reach = truncation * sigma / meta.resolution
-    r0 = max(int(np.ceil(rr - reach)), 0)
-    r1 = min(int(np.floor(rr + reach)), meta.height - 1)
-    c0 = max(int(np.ceil(cc - reach)), 0)
-    c1 = min(int(np.floor(cc + reach)), meta.width - 1)
-    if r0 > r1 or c0 > c1:
-        return None, 0, 0
-    rows = (np.arange(r0, r1 + 1, dtype=np.float64) - rr) * meta.resolution
-    cols = (np.arange(c0, c1 + 1, dtype=np.float64) - cc) * meta.resolution
-    d2 = rows[:, None] ** 2 + cols[None, :] ** 2
-    weights = np.exp(-d2 / (2.0 * sigma * sigma))
-    weights[d2 > (truncation * sigma) ** 2] = 0.0
-    return weights, r0, c0
 
 
 def _render_maps(
     cfg: SceneConfig, centers: np.ndarray, features: np.ndarray, modality: str
 ) -> tuple[FeatureMap, FeatureMap]:
-    """One modality's feature map and heatmap; the bump maths runs on the
-    (N, 2) centers as Python floats."""
-    xy = centers.tolist()
-    feat = _render_features(cfg.meta, xy, features, cfg.bump_sigma_feat, cfg.truncation, modality)
-    heat = _render_heat(cfg.meta, xy, cfg.bump_sigma_heat, cfg.truncation, modality)
+    """One modality's feature map and heatmap from the (N, 2) centers."""
+    feat = _render_features(
+        cfg.meta, centers, features, cfg.bump_sigma_feat, cfg.truncation, modality
+    )
+    heat = _render_heat(cfg.meta, centers, cfg.bump_sigma_heat, cfg.truncation, modality)
     return feat, heat
 
 
@@ -699,7 +694,7 @@ def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
     rows = objs["objects"]
     if [o["id"] for o in rows] != list(range(len(rows))):
         raise ValueError("object ids must run 0..N-1 in order")
-    return Scene(
+    scene = Scene(
         labels=tuple(str(o["label"]) for o in rows),
         **{name: [o[key] for o in rows] for key, name in _OBJECT_JSON.items()},
         lidar_features=objs["lidar_features"],
@@ -713,3 +708,6 @@ def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
         seed=int(objs["seed"]),
         config=cfg,
     )
+    if scene.correspondence() != corr:
+        raise ValueError("correspondence.json must list object i's id and true center in row i")
+    return scene

@@ -328,6 +328,22 @@ class TestGenSceneCommand:
         path.write_text(json.dumps({"scene": {"n_objects": 0}}))
         assert main(["gen-scene", "--out", str(tmp_path / "b"), "--config", str(path)]) == 2
 
+    def test_overflowing_bump_reach_exits_two_naming_truncation(self, tmp_path, capsys):
+        # a bump reach of 1e50 * 1e50 / 1e-300 cells used to exit 3 with an
+        # OverflowError from the renderer's int cast
+        grid = {"x_min": 0.0, "x_max": 1e-298, "y_min": 0.0, "y_max": 1e-298, "resolution": 1e-300}
+        tiny = [1e-300] * 3
+        scene = {
+            "truncation": 1e50, "bump_sigma_feat": 1e50, "margin": 0.0, "n_objects": 2,
+            "layout": "uniform", "min_separation": 1e-300, "dims_low": tiny, "dims_high": tiny,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": grid, "scene": scene}))
+        bundle = tmp_path / "b"
+        assert main(["gen-scene", "--out", str(bundle), "--config", str(path)]) == 2
+        assert "config field 'scene.truncation'" in capsys.readouterr().err
+        assert not bundle.exists()
+
 
 class TestAlignCommand:
     def test_bundle_to_alignment_flow(self, cfg_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from bevalign.scenesim import (
     PlacementFailureError,
     Scene,
     SceneConfig,
-    _bump_weights,
     _render_features,
     _render_heat,
     apply_spatial_noise,
@@ -207,6 +207,17 @@ class TestPlacement:
             with pytest.raises(ValueError):
                 SceneConfig(**bad)
 
+    @pytest.mark.parametrize("sigma", ["bump_sigma_feat", "bump_sigma_heat"])
+    def test_a_bump_reach_that_overflows_names_truncation(self, sigma):
+        # truncation * sigma / resolution = 1e100 / 1e-300 cells: an int cast
+        # of the window edge raised OverflowError inside gen_scene
+        with pytest.raises(ConfigError) as e:
+            SceneConfig(
+                meta=GridMeta(0.0, 1e-298, 0.0, 1e-298, 1e-300), margin=0.0,
+                truncation=1e50, **{sigma: 1e50},
+            )
+        assert e.value.field == "truncation"
+
     @pytest.mark.parametrize(
         "name,value",
         [
@@ -238,12 +249,33 @@ class TestPlacement:
         assert replace(scene, seed=1).centers is scene.centers
 
 
+def bump_weights(meta, center, sigma, truncation):
+    """Reference: one object's Gaussian weights exp(-d^2 / 2 sigma^2) on the
+    lattice window within truncation * sigma of the center, zero outside the
+    truncation radius, and the window's first row and column."""
+    rr, cc = world_to_grid(center, meta)
+    reach = truncation * sigma / meta.resolution
+    r0 = max(int(np.ceil(rr - reach)), 0)
+    r1 = min(int(np.floor(rr + reach)), meta.height - 1)
+    c0 = max(int(np.ceil(cc - reach)), 0)
+    c1 = min(int(np.floor(cc + reach)), meta.width - 1)
+    if r0 > r1 or c0 > c1:
+        return None, 0, 0
+    rows = (np.arange(r0, r1 + 1, dtype=np.float64) - rr) * meta.resolution
+    cols = (np.arange(c0, c1 + 1, dtype=np.float64) - cc) * meta.resolution
+    d2 = rows[:, None] ** 2 + cols[None, :] ** 2
+    weights = np.exp(-d2 / (2.0 * sigma * sigma))
+    weights[d2 > (truncation * sigma) ** 2] = 0.0
+    return weights, r0, c0
+
+
 def render_features_dense(meta, centers, features, sigma, truncation, modality):
-    """Reference: sum every bump into a full-size float64 map, then cast."""
+    """Reference: sum every bump, one object at a time, into a full-size
+    float64 map, then cast."""
     h, w, c = meta.height, meta.width, features.shape[1]
     out = np.zeros((h, w, c), dtype=np.float64)
     for center, f in zip(centers, features):
-        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
+        weights, r0, c0 = bump_weights(meta, center, sigma, truncation)
         if weights is None:
             continue
         out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1]] += (
@@ -253,10 +285,11 @@ def render_features_dense(meta, centers, features, sigma, truncation, modality):
 
 
 def render_heat_dense(meta, centers, sigma, truncation, modality):
-    """Reference: max-compose every bump in a full-size float64 map, then cast."""
+    """Reference: max-compose every bump, one object at a time, in a
+    full-size float64 map, then cast."""
     out = np.zeros((meta.height, meta.width, 1), dtype=np.float64)
     for center in centers:
-        weights, r0, c0 = _bump_weights(meta, center, sigma, truncation)
+        weights, r0, c0 = bump_weights(meta, center, sigma, truncation)
         if weights is None:
             continue
         view = out[r0 : r0 + weights.shape[0], c0 : c0 + weights.shape[1], 0]
@@ -267,18 +300,22 @@ def render_heat_dense(meta, centers, sigma, truncation, modality):
 @st.composite
 def render_cases(draw):
     """Tiny grids with centres on and off the lattice, inside and outside
-    the grid, repeated centres (three or more bumps on one cell), and
-    feature vectors of either sign, -0.0 included, with C >= 1."""
+    the grid, 1e200 m off it (as a 1e100 m/s object lagged 1e100 s), repeated
+    centres (three or more bumps on one cell), and feature vectors of either
+    sign, -0.0 included, with C >= 1."""
     res = draw(st.sampled_from((0.5, 0.75, 1.0)))
     h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     meta = GridMeta(-1.0, -1.0 + w * res, 2.0, 2.0 + h * res, res)
+    far = st.sampled_from((-1e200, 1e200))
     x = st.one_of(
         st.floats(meta.x_min - 4.0, meta.x_max + 4.0, allow_nan=False),
         st.integers(-3, w + 3).map(lambda k: meta.x_min + k * res),
+        far,
     )
     y = st.one_of(
         st.floats(meta.y_min - 4.0, meta.y_max + 4.0, allow_nan=False),
         st.integers(-3, h + 3).map(lambda k: meta.y_min + k * res),
+        far,
     )
     distinct = draw(st.lists(st.tuples(x, y), min_size=1, max_size=6))
     centers = draw(st.lists(st.sampled_from(distinct), min_size=0, max_size=9))
@@ -357,22 +394,35 @@ class TestRendering:
             2.0,
         )
     )
+    @example(
+        # one bump on the grid between centres 1e200 m off it on every side
+        case=(
+            GridMeta(0.0, 3.0, 0.0, 3.0, 1.0),
+            [(1e200, 1.0), (1.0, -1e200), (1.0, 1.0), (-1e200, 1e200), (1.0, 1e200)],
+            np.array([[2.0], [3.0], [5.0], [7.0], [11.0]]),
+            0.5,
+            4.0,
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_window_local_render_matches_dense_float64_bitwise(self, case):
         meta, centers, features, sigma, truncation = case
-        got = _render_features(meta, centers, features, sigma, truncation, "lidar")
+        xy = np.array(centers, dtype=np.float64).reshape(-1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            feat = _render_features(meta, xy, features, sigma, truncation, "lidar")
+            heat = _render_heat(meta, xy, sigma, truncation, "camera")
         want = render_features_dense(meta, centers, features, sigma, truncation, "lidar")
-        assert got.data.shape == want.data.shape
-        assert got.data.tobytes() == want.data.tobytes()
-        got = _render_heat(meta, centers, sigma, truncation, "camera")
+        assert feat.data.shape == want.data.shape
+        assert feat.data.tobytes() == want.data.tobytes()
         want = render_heat_dense(meta, centers, sigma, truncation, "camera")
-        assert got.data.tobytes() == want.data.tobytes()
+        assert heat.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("kind", ["features", "heat"])
     def test_rendering_allocates_about_one_float32_map(self, kind):
         cfg = SceneConfig()
         scene = gen_scene(cfg, 3)
-        centers = scene.centers.tolist()
+        centers = scene.centers
 
         def render():
             if kind == "features":
@@ -500,6 +550,13 @@ class TestSceneBundle:
         for name in ("lidar_feat", "lidar_heat", "camera_feat", "camera_heat"):
             assert np.array_equal(getattr(loaded, name).data, getattr(scene, name).data)
             assert getattr(loaded, name).meta == getattr(scene, name).meta
+        # a bundle that passes load_scene's checks is rewritten in the same bytes
+        save_scene(tmp_path / "again", loaded)
+        first, again = tmp_path / "bundle", tmp_path / "again"
+        files = sorted(p.name for p in first.iterdir())
+        assert files == sorted(p.name for p in again.iterdir())
+        for name in files:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "file,edit",
@@ -509,13 +566,16 @@ class TestSceneBundle:
             ("objects.json", lambda d: d["objects"][1].update(id=0)),
             ("objects.json", lambda d: d["objects"].reverse()),
             ("correspondence.json", lambda d: d.pop()),
+            ("correspondence.json", lambda d: d[0].update(lidar_center=[999.0, 999.0])),
+            ("correspondence.json", lambda d: d[1].update(object_id=7)),
             ("noise.json", lambda d: d.update(tx=np.nan)),
             ("noise.json", lambda d: d.update(lag_total=np.nan)),
             ("noise.json", lambda d: d.update(lag_total=-0.5)),
         ],
         ids=[
             "nan-center", "inf-velocity", "repeated-id", "ids-out-of-order",
-            "camera-center-missing", "nan-tx", "nan-lag-total", "negative-lag-total",
+            "camera-center-missing", "lidar-center-moved", "object-id-changed", "nan-tx",
+            "nan-lag-total", "negative-lag-total",
         ],
     )
     def test_load_rejects_a_corrupt_bundle(self, tmp_path, file, edit):
