@@ -7,8 +7,9 @@
                        [--sigma-t X] [--sigma-r X] [--lag X]
     bevalign align --bundle DIR --out DIR [--config cfg.json]
 
-Exit codes: 0 success, 1 a check failed, 2 bad usage or config, 3 runtime
-failure inside the pipeline.
+Exit codes: 0 success, 1 a check failed, 2 bad usage or config (such as an
+unreadable --config, or a negative --seed; `run` hashes its seed and takes
+any integer), 3 runtime failure inside the pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .experiment import (
     load_config,
     run_experiment,
     run_scene_pipeline,
-    scene_pairs_for_training,
     write_outputs,
 )
 from .instance import proposals_to_json
@@ -40,6 +40,18 @@ if TYPE_CHECKING:
 # `oracles.check_<kind>`; oracles (and so mpmath) is imported only by the
 # commands that run a check.
 ORACLE_KINDS = ("bilinear", "iou", "knn", "peaks")
+
+
+class _UsageError(Exception):
+    """Bad usage or config found by a command: main prints it and exits 2."""
+
+
+def _seed(text: str) -> int:
+    """A --seed that seeds numpy's default_rng, which takes no negative seed."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,18 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override output directory")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--trials", type=int, default=100)
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle comparison")
     p_oracle.add_argument("--kind", required=True, choices=ORACLE_KINDS)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_seed, default=0)
     p_oracle.add_argument("--trials", type=int, default=None, help="defaults per kind")
 
     p_gen = sub.add_parser("gen-scene", help="generate one scene bundle")
     p_gen.add_argument("--out", required=True, help="bundle directory")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--config", default=None, help="experiment config for scene knobs")
     p_gen.add_argument("--sigma-t", type=float, default=0.0, help="spatial translation sigma (m)")
     p_gen.add_argument(
@@ -86,19 +98,25 @@ def _report_line(rep: CheckReport) -> str:
     return f"{rep.kind}: {status} max_err={rep.max_err:.3e} ({rep.trials} trials)"
 
 
-def _cmd_run(args) -> int:
+def _config(args) -> ExperimentConfig:
+    """The experiment config in the --config file, or the defaults without
+    one.  An unreadable or invalid file is a _UsageError."""
+    if args.config is None:
+        return ExperimentConfig()
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, base_seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
+        return load_config(args.config)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"config error: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise _UsageError(f"config error: cannot read {args.config}: {e}") from e
+
+
+def _cmd_run(args) -> int:
+    cfg = _config(args)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
+    if args.out is not None:
+        cfg = dataclasses.replace(cfg, out_dir=args.out)
     try:
         report, result = run_experiment(cfg)
         write_outputs(cfg.out_dir, report, result)
@@ -147,18 +165,8 @@ def _cmd_oracle(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _scene_cfg_from(args) -> ExperimentConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    return ExperimentConfig()
-
-
 def _cmd_gen_scene(args) -> int:
-    try:
-        cfg = _scene_cfg_from(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    cfg = _config(args)
     try:
         spec = NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
     except ConfigError as e:
@@ -174,19 +182,14 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    try:
-        cfg = _scene_cfg_from(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    cfg = _config(args)
     try:
         scene = load_scene(args.bundle)
         pipe = run_scene_pipeline(scene, cfg)
-        material = scene_pairs_for_training(pipe)
-        if material is None:
+        if pipe.pairs is None or not pipe.pairs.positives:
             print("align: no positive pairs found in bundle", file=sys.stderr)
             return 3
-        result = train_heads([material], cfg.train)
+        result = train_heads([pipe], cfg.train)
         alignment = align_instances(pipe, result.head_lidar, result.head_camera, cfg.align)
         fused = fuse(
             scene.lidar_feat, scene.camera_feat, alignment, pipe.lidar_proposals, pipe.camera_feats
@@ -236,7 +239,11 @@ def main(argv: list[str] | None = None) -> int:
         "gen-scene": _cmd_gen_scene,
         "align": _cmd_align,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ The loss for one positive pair (a, c) with negatives b_1..b_K is
 with s either the raw dot product (default) or cosine similarity divided by
 a temperature.  The denominator holds the negatives only; a config flag adds
 the positive term for the canonical variant.  All log-sum-exp evaluations
-are max-shifted.  `_pair_eval` is the one implementation the pipeline runs:
-training descends it and evaluation (experiment.mean_pair_loss) scores with
-it.  The per-pair reference it is checked against, with finite differences
-for its gradients, is oracles.info_nce.
+are max-shifted.  Training and scoring read a scene's `PipelineOutput` and
+run one batched evaluation in two stages: `_pair_loss`, the mean loss and
+its softmax terms, which `mean_pair_loss` scores with, and `_pair_grad`,
+the embedding gradients, which `train_heads` runs only for the steps it
+takes.  Both are checked against the per-pair reference oracles.info_nce,
+with finite differences for its gradients.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 import numpy as np
 
 from .config import check_fields
-from .pairing import PairSet
+
+if TYPE_CHECKING:  # alignfuse imports this module
+    from .alignfuse import PipelineOutput
 
 ZERO_NORM_EPS = 1e-12
 
@@ -92,24 +96,6 @@ def init_heads(
 
 
 @dataclass(frozen=True)
-class ScenePairs:
-    """One scene's training material: per-instance feature vectors for both
-    modalities plus the index pairs over them."""
-
-    lidar_vectors: np.ndarray
-    camera_vectors: np.ndarray
-    pairs: PairSet
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lidar_vectors", np.asarray(self.lidar_vectors, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "camera_vectors", np.asarray(self.camera_vectors, dtype=np.float64)
-        )
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     steps: int = field(default=500, metadata={"ge": 0})
     step_size: float = field(default=0.05, metadata={"gt": 0})
@@ -135,21 +121,21 @@ class TrainResult:
 
 
 def _flatten_pairs(
-    scenes: list[ScenePairs],
+    outputs: list[PipelineOutput],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every trainable positive pair across scenes.  Returns the lidar
-    rows (P, D_L); the camera rows some pair references, each once
-    (N_u, D_C); each pair's positive index into them (P,); a (P, K_max)
-    negative index, padded; and the mask of real negatives.  Pairs with no
-    negatives are skipped."""
+    """Stack every trainable positive pair across the scenes' pipeline
+    outputs.  Returns the lidar rows (P, D_L); the camera rows some pair
+    references, each once (N_u, D_C); each pair's positive index into them
+    (P,); a (P, K_max) negative index, padded; and the mask of real
+    negatives.  Pairs with no negatives are skipped."""
     xl, cam, pos, negs = [], [], [], []
     n_u = 0
-    for sp in scenes:
-        kept = [(i, j, n) for (i, j), n in zip(sp.pairs.positives, sp.pairs.negatives) if n]
+    for out in outputs:
+        kept = [(i, j, n) for (i, j), n in zip(out.pairs.positives, out.pairs.negatives) if n]
         rows = sorted({j for _, j, _ in kept}.union(*(n for *_, n in kept)))
         at = {r: n_u + k for k, r in enumerate(rows)}
-        xl.extend(sp.lidar_vectors[i] for i, _, _ in kept)
-        cam.append(sp.camera_vectors[rows])
+        xl.extend(out.lidar_feats[i] for i, _, _ in kept)
+        cam.append(out.camera_feats[rows])
         pos.extend(at[j] for _, j, _ in kept)
         negs.extend([at[b] for b in n] for *_, n in kept)
         n_u += len(rows)
@@ -203,13 +189,28 @@ class _Batch:
         )
 
 
-def _pair_eval(
-    el: np.ndarray, eu: np.ndarray, batch: _Batch, cfg: LossConfig
-) -> tuple[float, float, float, np.ndarray, np.ndarray]:
-    """Mean loss and embedding-space gradients over all pairs in one batch.
+class _Scores(NamedTuple):
+    """The loss stage's result: the mean loss, the similarities s (P, 1 + K_max;
+    column 0 the positive), the max-shifted softmax terms ex and their row
+    sums, the embeddings a and c (unit rows, with norms na and nu, in cosine
+    mode; na and nu are None in dot mode) and the rows ec of c each pair uses."""
 
-    el holds the lidar embeddings (P, D_e) and eu the unique camera
-    embeddings (N_u, D_e).  Returns (loss, pos_sim, neg_sim, dEL, dEU)."""
+    loss: float
+    s: np.ndarray
+    ex: np.ndarray
+    total: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    ec: np.ndarray
+    na: np.ndarray | None
+    nu: np.ndarray | None
+
+
+def _pair_loss(el: np.ndarray, eu: np.ndarray, batch: _Batch, cfg: LossConfig) -> _Scores:
+    """The loss stage: the mean loss over all pairs in one batch, with the
+    terms the gradient stage consumes.  el holds the lidar embeddings
+    (P, D_e) and eu the unique camera embeddings (N_u, D_e)."""
+    na = nu = None
     if cfg.mode == "cosine":
         na = np.linalg.norm(el, axis=1)[:, None]
         nu = np.linalg.norm(eu, axis=1)[:, None]
@@ -227,37 +228,55 @@ def _pair_eval(
     ex = np.exp(logits - m)
     total = ex.sum(axis=1, keepdims=True)
     losses = -s[:, 0] + m[:, 0] + np.log(total[:, 0])
+    # np.add.reduce(x) / n is what ndarray.mean computes, without its overhead
+    return _Scores(float(np.add.reduce(losses) / batch.n_pairs), s, ex, total, a, c, ec, na, nu)
+
+
+def _pair_grad(sc: _Scores, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient stage: d mean loss / d embeddings, (dEL, dEU), from the
+    loss stage's terms."""
     # d loss / d s: softmax weight, minus one on the positive.
-    w = ex / total
+    w = sc.ex / sc.total
     w[:, 0] -= 1.0
     w *= batch.grad_scale
-    da = np.einsum("pk,pkd->pd", w, ec)
+    da = np.einsum("pk,pkd->pd", w, sc.ec)
     dc = np.bincount(
-        batch.flat_idx, weights=np.einsum("pk,pd->pkd", w, a).ravel(), minlength=batch.grad_size
-    ).reshape(eu.shape)
-    if cfg.mode == "cosine":
-        da = (da - a * np.einsum("pd,pd->p", a, da)[:, None]) / na
-        dc = (dc - c * np.einsum("pd,pd->p", c, dc)[:, None]) / nu
-    # np.add.reduce(x) / n is what ndarray.mean computes, without its overhead
-    return (
-        float(np.add.reduce(losses) / batch.n_pairs),
-        float(np.add.reduce(s[:, 0]) / batch.n_pairs),
-        float(np.add.reduce(s[:, 1:] * batch.neg_valid, axis=None) / batch.n_neg),
-        da,
-        dc,
-    )
+        batch.flat_idx, weights=np.einsum("pk,pd->pkd", w, sc.a).ravel(), minlength=batch.grad_size
+    ).reshape(sc.c.shape)
+    if sc.na is not None:
+        da = (da - sc.a * np.einsum("pd,pd->p", sc.a, da)[:, None]) / sc.na
+        dc = (dc - sc.c * np.einsum("pd,pd->p", sc.c, dc)[:, None]) / sc.nu
+    return da, dc
 
 
-def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
-    """Full-batch gradient descent on the mean pair loss.
+def mean_pair_loss(
+    output: PipelineOutput,
+    head_l: ProjectionHead,
+    head_c: ProjectionHead,
+    loss_cfg: LossConfig,
+) -> float:
+    """Mean contrastive loss over a scene's positive pairs under the given
+    heads: the loss stage of the evaluation that training descends.  0.0
+    when the scene yielded no pair with a negative."""
+    if output.pairs is None or not any(output.pairs.negatives):
+        return 0.0
+    xl, xu, pos, neg, mask = _flatten_pairs([output])
+    batch = _Batch.build(pos, neg, mask, len(xu), head_l.d_e, loss_cfg)
+    return _pair_loss(xl @ head_l.weights, xu @ head_c.weights, batch, loss_cfg).loss
+
+
+def train_heads(outputs: list[PipelineOutput], cfg: TrainConfig) -> TrainResult:
+    """Full-batch gradient descent on the mean pair loss over the pairs of
+    the given scene pipeline outputs, each of which must carry pairs.
 
     Each step projects every referenced camera row once and sums its
     gradient over all pairs that use it.  A step is taken only if the loss
     after it is finite and not above the loss before it; otherwise its size
-    is halved and the step tried again.  The loss trace has length
-    steps + 1; entry 0 is the loss at the seeded initialization and entry t
-    the loss after t updates.  Deterministic for a fixed (scenes, cfg)."""
-    xl, xu, pos, neg, mask = _flatten_pairs(scenes)
+    is halved and the step tried again.  Gradients are computed only at the
+    weights a step was taken to.  The loss trace has length steps + 1;
+    entry 0 is the loss at the seeded initialization and entry t the loss
+    after t updates.  Deterministic for a fixed (outputs, cfg)."""
+    xl, xu, pos, neg, mask = _flatten_pairs(outputs)
     batch = _Batch.build(pos, neg, mask, len(xu), cfg.d_e, cfg.loss)
     head_l, head_c = init_heads(xl.shape[1], cfg.d_e, cfg.seed, xu.shape[1])
     wl = head_l.weights.copy()
@@ -272,25 +291,28 @@ def train_heads(scenes: list[ScenePairs], cfg: TrainConfig) -> TrainResult:
     pos_trace = np.empty(cfg.steps + 1)
     neg_trace = np.empty(cfg.steps + 1)
     xlt, xut = xl.T, xu.T
-    loss, pos_sim, neg_sim, del_, deu = _pair_eval(xl @ wl, xu @ wc, batch, cfg.loss)
+    sc = _pair_loss(xl @ wl, xu @ wc, batch, cfg.loss)
     for step in range(cfg.steps + 1):
-        trace[step], pos_trace[step], neg_trace[step] = loss, pos_sim, neg_sim
+        trace[step] = sc.loss
+        pos_trace[step] = np.add.reduce(sc.s[:, 0]) / batch.n_pairs
+        neg_trace[step] = np.add.reduce(sc.s[:, 1:] * batch.neg_valid, axis=None) / batch.n_neg
         if step == cfg.steps:
             break
+        del_, deu = _pair_grad(sc, batch)
         gl, gc = xlt @ del_, xut @ deu
         eta = cfg.step_size
         while True:
             # Once eta * g underflows, the step changes no weight and its loss
             # equals the current one, so a finite loss and gradient end this.
             new_wl, new_wc = wl - eta * gl, wc - eta * gc
-            proposed = _pair_eval(xl @ new_wl, xu @ new_wc, batch, cfg.loss)
-            if math.isfinite(proposed[0]) and proposed[0] <= loss:
+            proposed = _pair_loss(xl @ new_wl, xu @ new_wc, batch, cfg.loss)
+            if math.isfinite(proposed.loss) and proposed.loss <= sc.loss:
                 break
-            if not (math.isfinite(loss) and np.isfinite(gl).all() and np.isfinite(gc).all()):
+            if not (math.isfinite(sc.loss) and np.isfinite(gl).all() and np.isfinite(gc).all()):
                 raise FloatingPointError(f"training step {step}: loss or gradient is not finite")
             eta *= 0.5
         wl, wc = new_wl, new_wc
-        loss, pos_sim, neg_sim, del_, deu = proposed
+        sc = proposed
 
     return TrainResult(
         head_lidar=ProjectionHead(wl),

@@ -27,15 +27,11 @@ import numpy as np
 from . import __version__
 from .alignfuse import AlignConfig, PipelineOutput, align_instances
 from .contrastive import (
-    LossConfig,
     ProjectionHead,
-    ScenePairs,
     TrainConfig,
     TrainResult,
-    _Batch,
-    _flatten_pairs,
-    _pair_eval,
     init_heads,
+    mean_pair_loss,
     train_heads,
     write_loss_trace_csv,
 )
@@ -125,7 +121,7 @@ def _noise_points(ng) -> list[dict]:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -144,28 +140,6 @@ def run_scene_pipeline(scene: Scene, cfg: ExperimentConfig) -> PipelineOutput:
     return PipelineOutput(lp, lf, cp, cf, pairs=pairs)
 
 
-def scene_pairs_for_training(pipe: PipelineOutput) -> ScenePairs | None:
-    if pipe.pairs is None or not pipe.pairs.positives:
-        return None
-    return ScenePairs(pipe.lidar_feats, pipe.camera_feats, pipe.pairs)
-
-
-def mean_pair_loss(
-    material: ScenePairs | None,
-    head_l: ProjectionHead,
-    head_c: ProjectionHead,
-    loss_cfg: LossConfig,
-) -> float:
-    """Mean contrastive loss over a scene's positive pairs under the given
-    heads, by the batched loss that training descends; 0.0 when the scene
-    yielded no pair with a negative."""
-    if material is None or not any(material.pairs.negatives):
-        return 0.0
-    xl, xu, pos, neg, mask = _flatten_pairs([material])
-    batch = _Batch.build(pos, neg, mask, len(xu), head_l.d_e, loss_cfg)
-    return _pair_eval(xl @ head_l.weights, xu @ head_c.weights, batch, loss_cfg)[0]
-
-
 def evaluate_scene(
     scene: Scene,
     pipe: PipelineOutput,
@@ -175,7 +149,6 @@ def evaluate_scene(
     """Metrics for each variant on one (possibly noisy) scene, whose
     pipeline output is pipe."""
     out: dict[str, Metrics] = {}
-    material = scene_pairs_for_training(pipe)
     # Variants may share a head pair ("naive" reuses "untrained"); its loss is
     # computed once.
     losses: dict[tuple[int, int], float] = {}
@@ -183,7 +156,7 @@ def evaluate_scene(
         head_l, head_c = heads[variant]
         key = (id(head_l), id(head_c))
         if key not in losses:
-            losses[key] = mean_pair_loss(material, head_l, head_c, cfg.train.loss)
+            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.train.loss)
         alignment = align_instances(pipe, head_l, head_c, cfg.align, nearest=variant == "naive")
         output = replace(pipe, alignment=alignment, mean_loss=losses[key])
         out[variant] = eval_alignment(scene, output)
@@ -238,15 +211,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     if eval_on_train:
         eval_idx = train_idx
 
-    # One scene is alive at a time: the train pipelines are reduced to their
-    # pair material, each eval scene is generated once and swept over the
+    # One scene is alive at a time: a train scene's maps are dropped once its
+    # pipeline has run, each eval scene is generated once and swept over the
     # whole noise grid, and each noisy render lives only inside eval_noisy,
     # so no split's feature maps are all alive at once.
-    def train_material(i: int) -> ScenePairs | None:
-        return scene_pairs_for_training(run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg))
-
-    material = [sp for sp in map(train_material, train_idx) if sp]
-    result = train_heads(material, cfg.train)
+    pipes = (run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg) for i in train_idx)
+    result = train_heads([p for p in pipes if p.pairs and p.pairs.positives], cfg.train)
 
     heads = {
         "trained": (result.head_lidar, result.head_camera),

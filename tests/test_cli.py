@@ -410,6 +410,62 @@ class TestAlignCommand:
         assert "runtime failure" in capsys.readouterr().err
 
 
+# Every command that reads --config, with the arguments it needs besides it.
+CONFIG_COMMANDS = {
+    "run": ["run"],
+    "gen-scene": ["gen-scene", "--out", "OUT"],
+    "align": ["align", "--bundle", "BUNDLE", "--out", "OUT"],
+}
+
+
+def _unreadable_config(kind: str, tmp_path: Path) -> Path:
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes('{"out_dir": "caf\u00e9"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_unreadable_config_exits_two(command, kind, tmp_path, capsys):
+    path = _unreadable_config(kind, tmp_path)
+    out = tmp_path / "out"
+    args = [
+        {"OUT": str(out), "BUNDLE": str(tmp_path / "bundle")}.get(a, a)
+        for a in CONFIG_COMMANDS[command]
+    ]
+    assert main([*args, "--config", str(path)]) == 2
+    assert f"config error: cannot read {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen-scene", "--out", "OUT"],
+        ["gradcheck", "--trials", "1"],
+        ["oracle", "--kind", "iou", "--trials", "1"],
+    ],
+    ids=["gen-scene", "gradcheck", "oracle"],
+)
+def test_negative_seed_exits_two_naming_the_flag(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = [str(out) if a == "OUT" else a for a in args]
+    with pytest.raises(SystemExit) as e:
+        main([*args, "--seed", "-1"])
+    assert e.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_accepts_a_negative_seed(cfg_file, tmp_path):
+    # scene seeds are hash64(base_seed, index), which takes any integer
+    assert main(["run", "--config", str(cfg_file), "--seed", "-1", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["base_seed"] == -1
+
+
 @pytest.mark.skipif(shutil.which("bevalign") is None, reason="console script not on PATH")
 def test_installed_script_runs():
     proc = subprocess.run(

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevalign.alignfuse import PipelineOutput
 from bevalign.contrastive import (
     LossConfig,
     NoPairsError,
     ProjectionHead,
-    ScenePairs,
     TrainConfig,
     ZeroVectorError,
     init_heads,
@@ -36,6 +36,11 @@ ALL_CONFIGS = (
 )
 
 
+def material(lidar_feats, camera_feats, pairs):
+    """A scene's pipeline record holding only what training reads."""
+    return PipelineOutput((), lidar_feats, (), camera_feats, pairs=pairs)
+
+
 def make_scene_pairs(n=6, d=8, k=2, seed=0, ragged=False, identical=False):
     """Random training material with identity positives i <-> i."""
     rng = np.random.default_rng(seed)
@@ -46,7 +51,7 @@ def make_scene_pairs(n=6, d=8, k=2, seed=0, ragged=False, identical=False):
         kk = 1 + (i % k) if ragged else k
         negatives.append(tuple(j for j in range(n) if j != i)[:kk])
     pairs = PairSet(0.1, k, tuple((i, i) for i in range(n)), tuple(negatives))
-    return ScenePairs(lv, cv, pairs)
+    return material(lv, cv, pairs)
 
 
 class TestSimilarities:
@@ -236,7 +241,7 @@ def ragged_scenes(draw):
             negatives.append((0, *extra))
         pairs = PairSet(0.1, n_c, tuple(positives), tuple(negatives))
         scenes.append(
-            ScenePairs(rng.standard_normal((n_l, d_l)), rng.standard_normal((n_c, d_c)), pairs)
+            material(rng.standard_normal((n_l, d_l)), rng.standard_normal((n_c, d_c)), pairs)
         )
     return scenes
 
@@ -250,7 +255,7 @@ def reference_train(scenes, cfg):
         for (i, j), negs in zip(sp.pairs.positives, sp.pairs.negatives):
             if negs:
                 flat.append(
-                    (sp.lidar_vectors[i], sp.camera_vectors[j], sp.camera_vectors[list(negs)])
+                    (sp.lidar_feats[i], sp.camera_feats[j], sp.camera_feats[list(negs)])
                 )
     p = len(flat)
 
@@ -324,23 +329,23 @@ class TestTrainHeads:
         lv, cv = rng.standard_normal((2, 5)), rng.standard_normal((4, 6))
         pairs = PairSet(0.1, 1, ((0, 0), (1, 1)), ((2,), (2,)))
         cfg = TrainConfig(steps=2, d_e=3, loss=LossConfig(mode="cosine"))
-        base = train_heads([ScenePairs(lv, cv[:3], pairs)], cfg)
+        base = train_heads([material(lv, cv[:3], pairs)], cfg)
         unreferenced = cv.copy()
         unreferenced[3] = 0.0
-        result = train_heads([ScenePairs(lv, unreferenced, pairs)], cfg)
+        result = train_heads([material(lv, unreferenced, pairs)], cfg)
         assert np.array_equal(result.loss_trace, base.loss_trace)
         negative = cv.copy()
         negative[2] = 0.0
         with pytest.raises(ZeroVectorError):
-            train_heads([ScenePairs(lv, negative, pairs)], cfg)
+            train_heads([material(lv, negative, pairs)], cfg)
         lidar = lv.copy()
         lidar[1] = 0.0
         with pytest.raises(ZeroVectorError):
-            train_heads([ScenePairs(lidar, cv, pairs)], cfg)
+            train_heads([material(lidar, cv, pairs)], cfg)
 
     def test_non_finite_loss_raises_instead_of_halving_forever(self):
         sp = make_scene_pairs(seed=9)
-        huge = ScenePairs(sp.lidar_vectors * 1e200, sp.camera_vectors * 1e200, sp.pairs)
+        huge = material(sp.lidar_feats * 1e200, sp.camera_feats * 1e200, sp.pairs)
         with pytest.raises(FloatingPointError, match="step 0"):
             train_heads([huge], TrainConfig(steps=3, d_e=4))
 
@@ -389,7 +394,7 @@ class TestTrainHeads:
             sp.pairs.positives,
             ((), (0,), (), (1,)),
         )
-        scenes = [ScenePairs(sp.lidar_vectors, sp.camera_vectors, pairs)]
+        scenes = [material(sp.lidar_feats, sp.camera_feats, pairs)]
         result = train_heads(scenes, TrainConfig(steps=1, d_e=2))
         assert result.n_pairs == 2
 
@@ -397,7 +402,7 @@ class TestTrainHeads:
         sp = make_scene_pairs(n=2, k=1)
         empty = PairSet(0.1, 1, sp.pairs.positives, ((), ()))
         with pytest.raises(NoPairsError):
-            train_heads([ScenePairs(sp.lidar_vectors, sp.camera_vectors, empty)], TrainConfig())
+            train_heads([material(sp.lidar_feats, sp.camera_feats, empty)], TrainConfig())
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):

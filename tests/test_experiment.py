@@ -25,7 +25,6 @@ from bevalign.experiment import (
     parse_config,
     run_experiment,
     run_scene_pipeline,
-    scene_pairs_for_training,
     write_outputs,
 )
 from bevalign.grid import GridMeta
@@ -254,23 +253,23 @@ class TestLoadConfig:
         assert e.value.field.startswith("<line 1, col ")
 
 
-def assert_matches_per_pair_mean(material, head_l, head_c, loss_cfg):
+def assert_matches_per_pair_mean(pipe, head_l, head_c, loss_cfg):
     """mean_pair_loss against the mean of oracles.info_nce over the pairs
     with a negative.  The two sum in different orders, and even projecting
     the negatives as one matrix instead of row by row moves the oracle's
     last bit, so the check is to 1e-12 of max(1, |loss|)."""
     values = [
         info_nce(
-            head_l.project(material.lidar_vectors[i]),
-            head_c.project(material.camera_vectors[j]),
-            head_c.project(material.camera_vectors[list(negs)]),
+            head_l.project(pipe.lidar_feats[i]),
+            head_c.project(pipe.camera_feats[j]),
+            head_c.project(pipe.camera_feats[list(negs)]),
             loss_cfg,
         ).value
-        for (i, j), negs in zip(material.pairs.positives, material.pairs.negatives)
+        for (i, j), negs in zip(pipe.pairs.positives, pipe.pairs.negatives)
         if negs
     ]
     want = float(np.mean(values))
-    got = mean_pair_loss(material, head_l, head_c, loss_cfg)
+    got = mean_pair_loss(pipe, head_l, head_c, loss_cfg)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -287,12 +286,28 @@ class TestMeanPairLoss:
     def test_zero_when_scene_has_no_pairs(self):
         pipe = PipelineOutput((), np.empty((0, 30)), (), np.empty((0, 30)))
         heads = init_heads(30, 4, 0)
-        assert mean_pair_loss(scene_pairs_for_training(pipe), *heads, TINY.train.loss) == 0.0
+        assert mean_pair_loss(pipe, *heads, TINY.train.loss) == 0.0
 
     def test_matches_per_pair_info_nce_mean(self):
-        material = scene_pairs_for_training(run_scene_pipeline(gen_scene(TINY_SCENE, 1), TINY))
-        assert material is not None
-        assert_matches_per_pair_mean(material, *init_heads(30, 8, 0), TINY.train.loss)
+        pipe = run_scene_pipeline(gen_scene(TINY_SCENE, 1), TINY)
+        assert pipe.pairs.positives
+        assert_matches_per_pair_mean(pipe, *init_heads(30, 8, 0), TINY.train.loss)
+
+    @pytest.mark.parametrize("positive", [False, True])
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_scores_by_the_loss_stage_that_training_descends(self, mode, positive):
+        """mean_pair_loss is bit for bit the loss train_heads records before
+        its first step, from the same heads."""
+        loss = LossConfig(mode=mode, include_positive_in_denominator=positive)
+        d_e, seed = 8, 4
+        for i in (1, 2, 3):
+            scene = apply_noise(gen_scene(TINY_SCENE, i), NoiseSpec(lag=0.5))
+            pipe = run_scene_pipeline(scene, TINY)
+            d_l, d_c = pipe.lidar_feats.shape[1], pipe.camera_feats.shape[1]
+            scored = mean_pair_loss(pipe, *init_heads(d_l, d_e, seed, d_c), loss)
+            cfg = TrainConfig(steps=0, d_e=d_e, seed=seed, loss=loss)
+            trained = train_heads([pipe], cfg).loss_trace[0]
+            assert np.float64(scored).tobytes() == np.float64(trained).tobytes()
 
     def test_matches_per_pair_info_nce_mean_on_robust_scenes(self):
         """Over all 200 (eval scene, noise point, heads) cases of this config
@@ -301,11 +316,11 @@ class TestMeanPairLoss:
         training diverged, here on four train scenes."""
         cfg = ROBUST_SEED_1
 
-        def material(i, spec=NoiseSpec()):
+        def pipeline(i, spec=NoiseSpec()):
             scene = apply_noise(gen_scene(cfg.scene, hash64(cfg.base_seed, i)), spec)
-            return scene_pairs_for_training(run_scene_pipeline(scene, cfg))
+            return run_scene_pipeline(scene, cfg)
 
-        trained = train_heads([material(i) for i in (0, 2, 4, 6)], cfg.train)
+        trained = train_heads([pipeline(i) for i in (0, 2, 4, 6)], cfg.train)
         heads = [
             (trained.head_lidar, trained.head_camera),
             init_heads(trained.head_lidar.d_in, cfg.train.d_e, cfg.train.seed),
@@ -313,7 +328,7 @@ class TestMeanPairLoss:
         checked = 0
         for i in range(1, 20, 2):
             for spec in cfg.noise_grid:
-                m = material(i, spec)
+                m = pipeline(i, spec)
                 for head_l, head_c in heads:
                     assert_matches_per_pair_mean(m, head_l, head_c, cfg.train.loss)
                     checked += 1

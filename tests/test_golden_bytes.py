@@ -9,8 +9,9 @@ import json
 import numpy as np
 import pytest
 
+from bevalign.alignfuse import PipelineOutput
 from bevalign.cli import main
-from bevalign.contrastive import LossConfig, ScenePairs, TrainConfig, train_heads
+from bevalign.contrastive import LossConfig, TrainConfig, train_heads
 from bevalign.pairing import PairSet
 from bevalign.scenesim import (
     SceneConfig,
@@ -101,7 +102,7 @@ def test_align_outputs_are_pinned(name, tmp_path, capsys):
     assert digests == ALIGN_DIGESTS[name]
 
 
-def _training_material(ragged: bool) -> list[ScenePairs]:
+def _training_material(ragged: bool) -> list[PipelineOutput]:
     """Two scenes with 6 lidar and 5 camera channels.  Camera row 0 is a
     negative of every pair but the one whose positive it is, so its gradient
     sums over several pairs; with ragged=True pair i has 1 + i % 3 negatives
@@ -116,7 +117,8 @@ def _training_material(ragged: bool) -> list[ScenePairs]:
             k = 1 + i % 3 if ragged else 3
             negatives.append((0, *others[i % 2 : i % 2 + k - 1]) if j != 0 else tuple(others[:k]))
         pairs = PairSet(0.1, 3, positives, tuple(negatives))
-        scenes.append(ScenePairs(rng.standard_normal((n, 6)), rng.standard_normal((n, 5)), pairs))
+        lidar, camera = rng.standard_normal((n, 6)), rng.standard_normal((n, 5))
+        scenes.append(PipelineOutput((), lidar, (), camera, pairs=pairs))
     return scenes
 
 

@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves, every config knob has
-exactly one field and a declared rule, and both ways of building a config
-enforce the same rules."""
+"""Package surface: every exported name resolves, no module reaches into
+another's private names, every config knob has exactly one field and a
+declared rule, and both ways of building a config enforce the same rules."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -21,6 +22,25 @@ def test_every_name_in_all_resolves():
     missing = [name for name in bevalign.__all__ if not hasattr(bevalign, name)]
     assert missing == []
     assert len(set(bevalign.__all__)) == len(bevalign.__all__)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A helper that two modules share is part of an API and gets a public
+    # name; tests may still import private helpers.
+    src = Path(bevalign.__file__).resolve().parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "bevalign"
+            )
+            if internal:
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert private == []
 
 
 def test_knn_is_the_exported_neighbor_search():
