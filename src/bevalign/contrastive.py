@@ -150,7 +150,7 @@ def _flatten_pairs(
 @dataclass(frozen=True)
 class _Batch:
     """The per-call constants of the batched loss, built once per training
-    run.  Column 0 of idx (P, 1 + K_max) is each pair's positive row in the
+    run or scored scene.  Column 0 of idx (P, 1 + K_max) is each pair's positive row in the
     unique camera embeddings, the rest its negatives; flat_idx holds idx's
     row * D_e + col offsets for the gradient scatter.  valid marks the
     logits in the softmax (padding and, unless the positive is in the
