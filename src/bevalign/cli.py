@@ -46,7 +46,7 @@ class _UsageError(Exception):
     """Bad usage or config found by a command: main prints it and exits 2."""
 
 
-def _seed(text: str) -> int:
+def seed(text: str) -> int:
     """A --seed that seeds numpy's default_rng, which takes no negative seed."""
     n = int(text)
     if n < 0:
@@ -67,18 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="override output directory")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
-    p_grad.add_argument("--seed", type=_seed, default=0)
+    p_grad.add_argument("--seed", type=seed, default=0)
     p_grad.add_argument("--trials", type=int, default=100)
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle comparison")
     p_oracle.add_argument("--kind", required=True, choices=ORACLE_KINDS)
-    p_oracle.add_argument("--seed", type=_seed, default=0)
+    p_oracle.add_argument("--seed", type=seed, default=0)
     p_oracle.add_argument("--trials", type=int, default=None, help="defaults per kind")
 
     p_gen = sub.add_parser("gen-scene", help="generate one scene bundle")
     p_gen.add_argument("--out", required=True, help="bundle directory")
-    p_gen.add_argument("--seed", type=_seed, default=0)
+    p_gen.add_argument("--seed", type=seed, default=0)
     p_gen.add_argument("--config", default=None, help="experiment config for scene knobs")
     p_gen.add_argument("--sigma-t", type=float, default=0.0, help="spatial translation sigma (m)")
     p_gen.add_argument(
