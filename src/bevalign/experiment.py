@@ -182,22 +182,14 @@ def _aggregate(per_scene: list[Metrics]) -> dict:
 
 @dataclass(frozen=True)
 class RunReport:
-    config: dict
-    noise_points: list[dict]
-    train: dict
+    """report.json's content, fields in the file's order."""
+
+    version: str
     wall_clock_s: float
     eval_on_train: bool
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "wall_clock_s": self.wall_clock_s,
-            "eval_on_train": self.eval_on_train,
-            "config": self.config,
-            "train": self.train,
-            "noise_points": self.noise_points,
-        }
+    config: dict
+    train: dict
+    noise_points: list[dict]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
@@ -243,6 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
         noise_points.append(point)
 
     report = RunReport(
+        version=__version__,
         config=cfg.echo(),
         noise_points=noise_points,
         train={
@@ -302,6 +295,6 @@ def metrics_csv(report: RunReport) -> str:
 def write_outputs(out_dir: str | Path, report: RunReport, result: TrainResult) -> None:
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "report.json").write_text(json.dumps(report.to_dict(), indent=2))
+    (d / "report.json").write_text(json.dumps(to_dict(report), indent=2))
     (d / "metrics.csv").write_text(metrics_csv(report))
     write_loss_trace_csv(d / "loss_trace.csv", result)

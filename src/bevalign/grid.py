@@ -146,12 +146,9 @@ class PlanarTransform:
         )
 
 
-def identity_transform() -> PlanarTransform:
-    return PlanarTransform(0.0, 0.0, 0.0)
-
-
 def world_to_grid(p: tuple[float, float], meta: GridMeta) -> tuple[float, float]:
-    """World point (x, y) -> fractional (row, col); out-of-extent allowed."""
+    """World point (x, y) -> fractional (row, col); out-of-extent allowed.
+    p may also be a pair of coordinate arrays, mapped elementwise."""
     x, y = p
     return (y - meta.y_min) / meta.resolution, (x - meta.x_min) / meta.resolution
 

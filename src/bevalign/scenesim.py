@@ -19,9 +19,12 @@ Rendering
 Noise
     Spatial miscalibration is ONE rigid planar transform per scene applied
     to the camera side; temporal lag displaces each camera center by
-    -velocity * lag.  Camera centers are always recomputed from the true
-    centers and the accumulated noise state, so applying spatial then
-    temporal noise yields bitwise the same maps as the reverse order.
+    -velocity * lag.  A scene's noise state is its NoiseSpec (the last
+    spatial increment's sigmas and the total lag) and its calibration, the
+    composed transform.  Camera centers are always recomputed from the true
+    centers and that state, so applying spatial then temporal noise yields
+    bitwise the same maps as the reverse order, and a loaded bundle's camera
+    centers are derived from its noise.json rather than read.
 """
 
 from __future__ import annotations
@@ -35,14 +38,14 @@ from typing import Literal
 import numpy as np
 
 from .alignfuse import PipelineOutput
-from .config import ConfigError, check_fields, from_dict, to_dict
+from .config import ConfigError, check_fields, field_types, from_dict, to_dict
 from .grid import (
     FeatureMap,
     GridMeta,
     PlanarTransform,
     apply_transform,
     default_meta,
-    identity_transform,
+    grid_to_world,
     load_feature_map,
     save_feature_map,
     world_to_grid,
@@ -85,28 +88,6 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-@dataclass(frozen=True)
-class AppliedNoise:
-    """What actually hit the scene: requested magnitudes plus the drawn
-    rigid transform and the accumulated lag."""
-
-    spec: NoiseSpec = field(default_factory=NoiseSpec)
-    transform: PlanarTransform = field(default_factory=identity_transform)
-    lag_total: float = field(default=0.0, metadata={"ge": 0})
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-
-    def to_dict(self) -> dict:
-        return {
-            **to_dict(self.spec),
-            "theta": self.transform.theta,
-            "tx": self.transform.tx,
-            "ty": self.transform.ty,
-            "lag_total": self.lag_total,
-        }
 
 
 @dataclass(frozen=True)
@@ -187,7 +168,9 @@ class Scene:
     """Ground truth and rendered maps of one scene.  Row i of every
     per-object array is object i: its label, true (LiDAR-side) center,
     dims, yaw, velocity, latent z, feature vectors and rendered camera
-    center.  The arrays are read-only float64, finite, and dims positive."""
+    center.  The arrays are read-only float64, finite, and dims positive.
+    noise holds the last spatial increment's sigmas and the total lag;
+    calibration is the composed rigid transform of the camera side."""
 
     labels: tuple[str, ...]
     centers: np.ndarray
@@ -202,7 +185,8 @@ class Scene:
     lidar_heat: FeatureMap
     camera_feat: FeatureMap
     camera_heat: FeatureMap
-    noise: AppliedNoise
+    noise: NoiseSpec
+    calibration: PlanarTransform
     seed: int
     config: SceneConfig
 
@@ -222,10 +206,6 @@ class Scene:
                 raise ValueError(f"{name} contains NaN or Inf")
         if not (self.dims > 0).all():
             raise ValueError("object dims must be positive")
-
-    @property
-    def calibration(self) -> PlanarTransform:
-        return self.noise.transform
 
     @property
     def n_objects(self) -> int:
@@ -254,7 +234,7 @@ def _snap_to_lattice(p: tuple[float, float], meta: GridMeta) -> tuple[float, flo
     r, c = world_to_grid(p, meta)
     r = float(np.clip(np.rint(r), 0, meta.height - 1))
     c = float(np.clip(np.rint(c), 0, meta.width - 1))
-    return (meta.x_min + c * meta.resolution, meta.y_min + r * meta.resolution)
+    return grid_to_world((r, c), meta)
 
 
 def _boxes_clear(
@@ -351,8 +331,7 @@ def _bumps(
     object order, row-major within a window; only window cells are computed."""
     res = meta.resolution
     reach = truncation * sigma / res
-    rr = (centers[:, 1] - meta.y_min) / res
-    cc = (centers[:, 0] - meta.x_min) / res
+    rr, cc = world_to_grid(centers.T, meta)
     # clipped while still float, so an index 1e200 cells away never meets an int cast
     r0 = np.clip(np.ceil(rr - reach), 0, meta.height).astype(np.int64)
     r1 = np.clip(np.floor(rr + reach), -1, meta.height - 1).astype(np.int64)
@@ -464,18 +443,26 @@ def gen_scene(cfg: SceneConfig, seed: int) -> Scene:
         lidar_heat=lh,
         camera_feat=cf,
         camera_heat=ch,
-        noise=AppliedNoise(),
+        noise=NoiseSpec(),
+        calibration=PlanarTransform(),
         seed=seed,
         config=cfg,
     )
 
 
-def _with_noise(scene: Scene, noise: AppliedNoise) -> Scene:
+def _camera_centers(
+    centers: np.ndarray, velocity: np.ndarray, noise: NoiseSpec, calibration: PlanarTransform
+) -> np.ndarray:
     """Camera center = rigid transform of the true center minus
-    velocity * accumulated lag.  Computing from the true state every time
-    makes spatial and temporal application order-independent bitwise."""
-    x, y = apply_transform(scene.centers.T, noise.transform)
-    camera_centers = np.column_stack((x, y)) - scene.velocity * noise.lag_total
+    velocity * total lag.  Computing from the true state every time makes
+    spatial and temporal application order-independent bitwise."""
+    x, y = apply_transform(centers.T, calibration)
+    return np.column_stack((x, y)) - velocity * noise.lag
+
+
+def _with_noise(scene: Scene, noise: NoiseSpec, calibration: PlanarTransform) -> Scene:
+    """The scene re-rendered on the camera side under a new noise state."""
+    camera_centers = _camera_centers(scene.centers, scene.velocity, noise, calibration)
     cf, ch = _render_maps(scene.config, camera_centers, scene.camera_features, "camera")
     return replace(
         scene,
@@ -483,6 +470,7 @@ def _with_noise(scene: Scene, noise: AppliedNoise) -> Scene:
         camera_heat=ch,
         camera_centers=camera_centers,
         noise=noise,
+        calibration=calibration,
     )
 
 
@@ -491,22 +479,15 @@ def apply_spatial_noise(
 ) -> Scene:
     """One rigid calibration perturbation for the whole scene: theta then
     tx then ty are drawn from rng.  The LiDAR side is untouched."""
-    NoiseSpec(sigma_t=sigma_t, sigma_r=sigma_r)  # a bad magnitude fails before any draw
+    # a bad magnitude fails before any draw
+    noise = replace(scene.noise, sigma_t=sigma_t, sigma_r=sigma_r)
     theta = float(rng.normal(0.0, sigma_r)) if sigma_r > 0 else 0.0
     tx = float(rng.normal(0.0, sigma_t)) if sigma_t > 0 else 0.0
     ty = float(rng.normal(0.0, sigma_t)) if sigma_t > 0 else 0.0
     if sigma_t == 0 and sigma_r == 0:
         return scene
-    old = scene.noise
     perturb = PlanarTransform(theta=theta, tx=tx, ty=ty)
-    noise = AppliedNoise(
-        spec=NoiseSpec(
-            sigma_t=sigma_t, sigma_r=sigma_r, lag=old.spec.lag
-        ),
-        transform=perturb.compose(old.transform),
-        lag_total=old.lag_total,
-    )
-    return _with_noise(scene, noise)
+    return _with_noise(scene, noise, perturb.compose(scene.calibration))
 
 
 def apply_temporal_noise(scene: Scene, lag: float) -> Scene:
@@ -516,13 +497,7 @@ def apply_temporal_noise(scene: Scene, lag: float) -> Scene:
     NoiseSpec(lag=lag)
     if lag == 0:
         return scene
-    old = scene.noise
-    noise = AppliedNoise(
-        spec=NoiseSpec(sigma_t=old.spec.sigma_t, sigma_r=old.spec.sigma_r, lag=old.spec.lag + lag),
-        transform=old.transform,
-        lag_total=old.lag_total + lag,
-    )
-    return _with_noise(scene, noise)
+    return _with_noise(scene, replace(scene.noise, lag=scene.noise.lag + lag), scene.calibration)
 
 
 # Salt of each scene's noise stream, hash64(scene seed, NOISE_STREAM_SALT).
@@ -647,7 +622,8 @@ _OBJECT_JSON = {
 
 def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
     """Scene bundle: four map binaries with sidecars, objects.json (with the
-    full generation config), noise.json, correspondence.json."""
+    full generation config), noise.json (the NoiseSpec's keys, the
+    calibration's, and lag_total, which repeats lag), correspondence.json."""
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
     save_feature_map(d / "lidar_feat", scene.lidar_feat)
@@ -666,48 +642,64 @@ def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
         "config": to_dict(scene.config),
     }
     (d / "objects.json").write_text(json.dumps(objs, indent=2))
-    (d / "noise.json").write_text(json.dumps(scene.noise.to_dict(), indent=2))
+    noise = {**to_dict(scene.noise), **to_dict(scene.calibration), "lag_total": scene.noise.lag}
+    (d / "noise.json").write_text(json.dumps(noise, indent=2))
     (d / "correspondence.json").write_text(json.dumps(scene.correspondence(), indent=2))
+
+
+def _load_noise(d) -> tuple[NoiseSpec, PlanarTransform]:
+    """noise.json's NoiseSpec and calibration, each through from_dict, so a
+    missing key takes its default; lag_total must repeat lag."""
+    if not isinstance(d, dict):
+        raise ConfigError("noise", f"must be an object, got {d!r}")
+    calib = {k: v for k, v in d.items() if k in field_types(PlanarTransform)}
+    spec = {k: v for k, v in d.items() if k not in calib and k != "lag_total"}
+    noise = from_dict(NoiseSpec, spec, "noise")
+    lag_total = d.get("lag_total")
+    if isinstance(lag_total, bool) or lag_total != noise.lag:
+        raise ConfigError("noise.lag_total", f"must repeat lag {noise.lag!r}, got {lag_total!r}")
+    return noise, from_dict(PlanarTransform, calib, "noise")
 
 
 def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
     """Rebuild a Scene from a bundle; rendering state comes from disk.  The
     generation config is the bundle's unless cfg is given; a config key the
-    bundle lacks (older bundles hold five) takes its default."""
+    bundle lacks (older bundles hold five) takes its default.  Camera
+    centers are derived from the true centers and noise.json, and
+    correspondence.json must agree with them."""
     d = Path(bundle_dir)
     objs = json.loads((d / "objects.json").read_text())
-    noise_d = json.loads((d / "noise.json").read_text())
+    noise, calibration = _load_noise(json.loads((d / "noise.json").read_text()))
     corr = json.loads((d / "correspondence.json").read_text())
     if cfg is None:
         cfg = from_dict(SceneConfig, objs["config"], "config")
-    noise = AppliedNoise(
-        spec=NoiseSpec(
-            sigma_t=float(noise_d["sigma_t"]),
-            sigma_r=float(noise_d["sigma_r"]),
-            lag=float(noise_d["lag"]),
-        ),
-        transform=PlanarTransform(
-            theta=float(noise_d["theta"]), tx=float(noise_d["tx"]), ty=float(noise_d["ty"])
-        ),
-        lag_total=float(noise_d["lag_total"]),
-    )
     rows = objs["objects"]
     if [o["id"] for o in rows] != list(range(len(rows))):
         raise ValueError("object ids must run 0..N-1 in order")
+    truth = {
+        name: np.array([o[key] for o in rows], dtype=np.float64)
+        for key, name in _OBJECT_JSON.items()
+    }
+    with np.errstate(all="ignore"):  # Scene rejects a non-finite center or velocity
+        camera_centers = _camera_centers(truth["centers"], truth["velocity"], noise, calibration)
     scene = Scene(
         labels=tuple(str(o["label"]) for o in rows),
-        **{name: [o[key] for o in rows] for key, name in _OBJECT_JSON.items()},
+        **truth,
         lidar_features=objs["lidar_features"],
         camera_features=objs["camera_features"],
-        camera_centers=[c["camera_center"] for c in corr],
+        camera_centers=camera_centers,
         lidar_feat=load_feature_map(d / "lidar_feat"),
         lidar_heat=load_feature_map(d / "lidar_heat"),
         camera_feat=load_feature_map(d / "camera_feat"),
         camera_heat=load_feature_map(d / "camera_heat"),
         noise=noise,
+        calibration=calibration,
         seed=int(objs["seed"]),
         config=cfg,
     )
     if scene.correspondence() != corr:
-        raise ValueError("correspondence.json must list object i's id and true center in row i")
+        raise ValueError(
+            "correspondence.json must list object i's id, true center and camera center"
+            " (derived from objects.json and noise.json) in row i"
+        )
     return scene

@@ -25,7 +25,6 @@ from bevalign.grid import (
     clamp_to_grid,
     default_meta,
     grid_to_world,
-    identity_transform,
     load_feature_map,
     read_bevf,
     require_same_meta,
@@ -140,7 +139,7 @@ class TestCoordinateMapping:
 
 class TestPlanarTransform:
     def test_identity(self):
-        assert apply_transform((3.0, -2.0), identity_transform()) == (3.0, -2.0)
+        assert apply_transform((3.0, -2.0), PlanarTransform()) == (3.0, -2.0)
 
     def test_pure_rotation_quarter_turn(self):
         t = PlanarTransform(theta=math.pi / 2.0)

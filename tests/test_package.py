@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, no module reaches into
-another's private names, every config knob has exactly one field and a
-declared rule, and both ways of building a config enforce the same rules."""
+another's private names, records serialise through one config
+(de)serialisation, every config knob has exactly one field and a declared
+rule, and both ways of building a config enforce the same rules."""
 
 import ast
 import dataclasses
@@ -41,6 +42,22 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert private == []
+
+
+def test_records_serialise_through_config_to_dict_and_from_dict():
+    # config.to_dict/from_dict write and read every record whose JSON keys
+    # are its field names; Proposal's keys w/h/l are not.
+    src = Path(bevalign.__file__).resolve().parent
+    own = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                own += [
+                    f"{path.stem}.{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "from_dict")
+                ]
+    assert own == ["instance.Proposal.to_dict", "instance.Proposal.from_dict"]
 
 
 def test_knn_is_the_exported_neighbor_search():

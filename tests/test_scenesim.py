@@ -1,9 +1,11 @@
 """Synthetic scene generation, calibration/lag noise, and alignment metrics."""
 
 import json
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from bevalign.scenesim import (
     SceneConfig,
     _render_features,
     _render_heat,
+    apply_noise,
     apply_spatial_noise,
     apply_temporal_noise,
     assign_proposals,
@@ -453,7 +456,7 @@ class TestSpatialNoise:
             float(rng.normal(0.0, 0.3)),
         )
         assert noisy.calibration == want
-        assert noisy.noise.spec == NoiseSpec(sigma_t=0.3, sigma_r=0.02)
+        assert noisy.noise == NoiseSpec(sigma_t=0.3, sigma_r=0.02)
 
     def test_translation_only_draws_no_rotation(self):
         scene = gen_scene(SMALL, 6)
@@ -506,7 +509,8 @@ class TestTemporalNoise:
         scene = gen_scene(SMALL, 7)
         twice = apply_temporal_noise(apply_temporal_noise(scene, 0.25), 0.25)
         once = apply_temporal_noise(scene, 0.5)
-        assert twice.noise.lag_total == once.noise.lag_total == 0.5
+        assert twice.noise == once.noise == NoiseSpec(lag=0.5)
+        assert twice.calibration == once.calibration == PlanarTransform()
         assert twice.camera_centers.tobytes() == once.camera_centers.tobytes()
         assert np.array_equal(twice.camera_feat.data, once.camera_feat.data)
 
@@ -531,6 +535,7 @@ class TestTemporalNoise:
             apply_temporal_noise(scene, 0.5), 0.4, 0.03, np.random.default_rng(11)
         )
         assert a.noise == b.noise
+        assert a.calibration == b.calibration
         assert a.camera_centers.tobytes() == b.camera_centers.tobytes()
         assert np.array_equal(a.camera_feat.data, b.camera_feat.data)
         assert np.array_equal(a.camera_heat.data, b.camera_heat.data)
@@ -546,6 +551,7 @@ class TestSceneBundle:
         loaded = load_scene(tmp_path / "bundle", cfg=SMALL)
         assert_truth_equal(loaded, scene)
         assert loaded.noise == scene.noise
+        assert loaded.calibration == scene.calibration
         assert loaded.seed == scene.seed
         for name in ("lidar_feat", "lidar_heat", "camera_feat", "camera_heat"):
             assert np.array_equal(getattr(loaded, name).data, getattr(scene, name).data)
@@ -571,21 +577,73 @@ class TestSceneBundle:
             ("noise.json", lambda d: d.update(tx=np.nan)),
             ("noise.json", lambda d: d.update(lag_total=np.nan)),
             ("noise.json", lambda d: d.update(lag_total=-0.5)),
+            # noise.json must be the noise that rendered the camera side
+            ("noise.json", lambda d: d.update(tx=d["tx"] + 5.0)),
+            ("noise.json", lambda d: d.update(lag=0.25, lag_total=0.25)),
+            ("noise.json", lambda d: d.pop("tx")),
+            # lag_total repeats lag
+            ("noise.json", lambda d: d.update(lag_total=0.25)),
+            ("noise.json", lambda d: d.pop("lag_total")),
+            # each value is a number of a known key
+            ("noise.json", lambda d: d.update(sigma_t="0.5")),
+            ("noise.json", lambda d: d.update(sigma_r=True)),
+            ("noise.json", lambda d: d.update(sigma_d=0.01)),
         ],
         ids=[
             "nan-center", "inf-velocity", "repeated-id", "ids-out-of-order",
             "camera-center-missing", "lidar-center-moved", "object-id-changed", "nan-tx",
-            "nan-lag-total", "negative-lag-total",
+            "nan-lag-total", "negative-lag-total", "tx-moved", "lag-and-lag-total-changed",
+            "tx-missing", "lag-total-differs", "lag-total-missing", "string-sigma-t",
+            "bool-sigma-r", "unknown-key",
         ],
     )
     def test_load_rejects_a_corrupt_bundle(self, tmp_path, file, edit):
         bundle = tmp_path / "bundle"
-        save_scene(bundle, apply_temporal_noise(gen_scene(SMALL, 13), 0.5))
+        spatial = apply_spatial_noise(gen_scene(SMALL, 13), 0.3, 0.02, np.random.default_rng(4))
+        save_scene(bundle, apply_temporal_noise(spatial, 0.5))
         d = json.loads((bundle / file).read_text())
         edit(d)
         (bundle / file).write_text(json.dumps(d))
         with pytest.raises(ValueError):
             load_scene(bundle)
+
+    def test_non_finite_truth_is_rejected_without_a_warning(self, tmp_path):
+        # without lag, deriving the camera centers computes inf * 0
+        save_scene(tmp_path, gen_scene(SMALL, 13))
+        objs = json.loads((tmp_path / "objects.json").read_text())
+        objs["objects"][1]["velocity"] = [np.inf, 0.0]
+        (tmp_path / "objects.json").write_text(json.dumps(objs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="velocity"):
+                load_scene(tmp_path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                NoiseSpec,
+                sigma_t=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0),
+                sigma_r=st.sampled_from([0.0, 0.02]) | st.floats(0.0, 0.5),
+                lag=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_noise_state_round_trips(self, specs, seed):
+        scene = gen_scene(replace(SMALL, meta=GridMeta(-16.0, 16.0, -16.0, 16.0, 1.0)), seed)
+        for spec in specs:
+            scene = apply_noise(scene, spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_scene(tmp, scene)
+            keys = list(json.loads((Path(tmp) / "noise.json").read_text()))
+            loaded = load_scene(tmp)
+        assert keys == [*field_types(NoiseSpec), *field_types(PlanarTransform), "lag_total"]
+        assert loaded.noise == scene.noise
+        assert loaded.calibration == scene.calibration
+        assert loaded.camera_centers.tobytes() == scene.camera_centers.tobytes()
 
     def test_load_without_config_recovers_generation_knobs(self, tmp_path):
         scene = gen_scene(CLEAN, 13)
