@@ -253,9 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
 
 
 CSV_COLUMNS = (
-    "sigma_t",
-    "sigma_r",
-    "lag",
+    *NOISE_AXES,
     "variant",
     "recall_at_1",
     "mean_loss",
@@ -272,23 +270,10 @@ def metrics_csv(report: RunReport) -> str:
     identical runs emit identical bytes."""
     lines = [",".join(CSV_COLUMNS)]
     for point in report.noise_points:
-        noise = point["noise"]
+        noise = [repr(float(point["noise"][axis])) for axis in NOISE_AXES]
         for variant in VARIANTS:
-            agg = point["variants"][variant]
-            row = [
-                repr(float(noise["sigma_t"])),
-                repr(float(noise["sigma_r"])),
-                repr(float(noise["lag"])),
-                variant,
-                repr(float(agg["recall_at_1"])),
-                repr(float(agg["mean_loss"])),
-                repr(float(agg["center_err_before"])),
-                repr(float(agg["center_err_after"])),
-                str(agg["n_pos"]),
-                str(agg["n_neg"]),
-                str(agg["n_scenes"]),
-            ]
-            lines.append(",".join(row))
+            agg = [repr(point["variants"][variant][c]) for c in CSV_COLUMNS[len(NOISE_AXES) + 1 :]]
+            lines.append(",".join([*noise, variant, *agg]))
     return "\n".join(lines) + "\n"
 
 

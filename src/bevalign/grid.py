@@ -251,19 +251,31 @@ def read_bevf(path: str | Path) -> np.ndarray:
     return arr.astype(np.float32, copy=False)
 
 
+@dataclass(frozen=True)
+class _Sidecar:
+    """A map's `<path>.json`: its grid and modality."""
+
+    meta: GridMeta
+    modality: str
+
+
 def save_feature_map(path: str | Path, fmap: FeatureMap) -> None:
     """Write map binary plus a `<path>.json` sidecar with meta and modality."""
     path = Path(path)
     write_bevf(path, fmap.data)
-    sidecar = {"meta": to_dict(fmap.meta), "modality": fmap.modality}
     with open(path.with_name(path.name + ".json"), "w") as f:
-        json.dump(sidecar, f, indent=2)
+        json.dump(to_dict(_Sidecar(fmap.meta, fmap.modality)), f, indent=2)
         f.write("\n")
 
 
 def load_feature_map(path: str | Path) -> FeatureMap:
+    """A map saved by save_feature_map or FusedMap.save; from_dict reads the
+    sidecar, whose channel_layout (a fused map's) is ignored."""
     path = Path(path)
     data = read_bevf(path)
     with open(path.with_name(path.name + ".json")) as f:
         sidecar = json.load(f)
-    return FeatureMap(from_dict(GridMeta, sidecar["meta"], "meta"), data, sidecar["modality"])
+    if isinstance(sidecar, dict):
+        sidecar.pop("channel_layout", None)
+    side = from_dict(_Sidecar, sidecar, "sidecar")
+    return FeatureMap(side.meta, data, side.modality)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, check_fields
+from .config import ConfigError, check_fields, from_dict, to_dict
 from .grid import (
     FeatureMap,
     bilinear_sample,
@@ -37,49 +37,31 @@ class InvalidKernelError(ConfigError):
 
 @dataclass(frozen=True)
 class Proposal:
-    """One detected instance in world units."""
+    """One detected instance in world units, box dims w and h along x and y.
+    Its fields are its JSON keys, in order."""
 
     cx: float
     cy: float
     z: float
-    width: float
-    height: float
-    length: float
+    w: float
+    h: float
+    l: float  # noqa: E741 - the JSON key
     yaw: float
     score: float
     label: int
 
     def __post_init__(self) -> None:
-        for name in ("cx", "cy", "z", "width", "height", "length", "yaw", "score"):
+        for name in ("cx", "cy", "z", "w", "h", "l", "yaw", "score"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"proposal {name} must be finite, got {getattr(self, name)}")
-        if min(self.width, self.height, self.length) <= 0:
+        if min(self.w, self.h, self.l) <= 0:
             raise ValueError("proposal dims must be positive")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
     @property
     def box(self) -> Box2D:
-        return Box2D(self.cx, self.cy, self.width, self.height)
-
-    def to_dict(self) -> dict:
-        return {
-            "cx": self.cx,
-            "cy": self.cy,
-            "z": self.z,
-            "w": self.width,
-            "h": self.height,
-            "l": self.length,
-            "yaw": self.yaw,
-            "score": self.score,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Proposal":
-        return cls(
-            d["cx"], d["cy"], d["z"], d["w"], d["h"], d["l"], d["yaw"], d["score"], int(d["label"])
-        )
+        return Box2D(self.cx, self.cy, self.w, self.h)
 
 
 @dataclass(frozen=True)
@@ -156,7 +138,7 @@ def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> np.ndarray:
     midpoints, clamped into the grid, concatenated [c, up, down, left, right].
     The map is finite (FeatureMap checks it), so every row is too."""
     cx, cy, hw, hh = np.array(
-        [(p.cx, p.cy, p.width / 2.0, p.height / 2.0) for p in proposals], dtype=np.float64
+        [(p.cx, p.cy, p.w / 2.0, p.h / 2.0) for p in proposals], dtype=np.float64
     ).reshape(-1, 4).T
     zero = np.zeros_like(cx)
     xs = cx[:, None] + np.stack([zero, zero, zero, -hw, hw], axis=1)
@@ -184,8 +166,9 @@ def extract_instances(
 
 
 def proposals_to_json(proposals: list[Proposal]) -> str:
-    return json.dumps([p.to_dict() for p in proposals], indent=2)
+    return json.dumps([to_dict(p) for p in proposals], indent=2)
 
 
 def proposals_from_json(text: str) -> list[Proposal]:
-    return [Proposal.from_dict(d) for d in json.loads(text)]
+    """Proposals from a JSON list, each object read by config.from_dict."""
+    return [from_dict(Proposal, d, "proposal") for d in json.loads(text)]

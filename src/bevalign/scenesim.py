@@ -25,6 +25,10 @@ Noise
     centers and that state, so applying spatial then temporal noise yields
     bitwise the same maps as the reverse order, and a loaded bundle's camera
     centers are derived from its noise.json rather than read.
+
+Bundles
+    objects.json and noise.json are written by config.to_dict and read by
+    config.from_dict, and a bundle loads with its own generation config.
 """
 
 from __future__ import annotations
@@ -161,6 +165,8 @@ _OBJECT_ROWS = {
     "camera_features": (None,),
     "camera_centers": (2,),
 }
+# a Scene's maps, each saved in a bundle as the BEVF file of its name
+_MAPS = ("lidar_feat", "lidar_heat", "camera_feat", "camera_heat")
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,9 @@ class Scene:
     """Ground truth and rendered maps of one scene.  Row i of every
     per-object array is object i: its label, true (LiDAR-side) center,
     dims, yaw, velocity, latent z, feature vectors and rendered camera
-    center.  The arrays are read-only float64, finite, and dims positive.
+    center.  The arrays are read-only float64, finite, and dims positive;
+    every label is one of OBJECT_LABELS.  The four maps lie on config.meta,
+    and each feature map has one channel per column of its feature rows.
     noise holds the last spatial increment's sigmas and the total lag;
     calibration is the composed rigid transform of the camera side."""
 
@@ -206,6 +214,15 @@ class Scene:
                 raise ValueError(f"{name} contains NaN or Inf")
         if not (self.dims > 0).all():
             raise ValueError("object dims must be positive")
+        if not set(self.labels) <= set(OBJECT_LABELS):
+            raise ValueError(f"labels must be among {OBJECT_LABELS}, got {self.labels}")
+        for name in _MAPS:
+            if getattr(self, name).meta != self.config.meta:
+                raise ValueError(f"{name} must lie on config.meta, got {getattr(self, name).meta}")
+        for side in ("lidar", "camera"):
+            fmap, rows = getattr(self, f"{side}_feat"), getattr(self, f"{side}_features")
+            if fmap.channels != rows.shape[1]:
+                raise ValueError(f"{side}_feat needs {rows.shape[1]} channels, got {fmap.channels}")
 
     @property
     def n_objects(self) -> int:
@@ -613,11 +630,28 @@ def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:
     )
 
 
-# objects.json key of each per-object value after "id" and "label", in file
-# order, and the Scene array that holds it
-_OBJECT_JSON = {
-    "center": "centers", "dims": "dims", "yaw": "yaw", "velocity": "velocity", "z": "z",
-}
+@dataclass(frozen=True)
+class _ObjectRow:
+    """One object of objects.json."""
+
+    id: int
+    label: str
+    center: tuple[float, float]
+    dims: tuple[float, float, float]
+    yaw: float
+    velocity: tuple[float, float]
+    z: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _Objects:
+    """objects.json.  from_dict checks the types, and Scene the values."""
+
+    seed: int
+    objects: tuple[_ObjectRow, ...]
+    lidar_features: tuple[tuple[float, ...], ...]
+    camera_features: tuple[tuple[float, ...], ...]
+    config: SceneConfig
 
 
 def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
@@ -626,22 +660,19 @@ def save_scene(bundle_dir: str | Path, scene: Scene) -> None:
     calibration's, and lag_total, which repeats lag), correspondence.json."""
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
-    save_feature_map(d / "lidar_feat", scene.lidar_feat)
-    save_feature_map(d / "lidar_heat", scene.lidar_heat)
-    save_feature_map(d / "camera_feat", scene.camera_feat)
-    save_feature_map(d / "camera_heat", scene.camera_heat)
-    columns = [getattr(scene, name).tolist() for name in _OBJECT_JSON.values()]
-    objs = {
-        "seed": scene.seed,
-        "objects": [
-            {"id": i, "label": label, **dict(zip(_OBJECT_JSON, row))}
-            for i, (label, *row) in enumerate(zip(scene.labels, *columns))
-        ],
-        "lidar_features": scene.lidar_features.tolist(),
-        "camera_features": scene.camera_features.tolist(),
-        "config": to_dict(scene.config),
-    }
-    (d / "objects.json").write_text(json.dumps(objs, indent=2))
+    for name in _MAPS:
+        save_feature_map(d / name, getattr(scene, name))
+    # JSON lists in place of the tuples that from_dict reads back
+    columns = (scene.centers, scene.dims, scene.yaw, scene.velocity, scene.z)
+    rows = zip(scene.labels, *(a.tolist() for a in columns))
+    objs = _Objects(
+        seed=scene.seed,
+        objects=tuple(_ObjectRow(i, *row) for i, row in enumerate(rows)),
+        lidar_features=scene.lidar_features.tolist(),
+        camera_features=scene.camera_features.tolist(),
+        config=scene.config,
+    )
+    (d / "objects.json").write_text(json.dumps(to_dict(objs), indent=2))
     noise = {**to_dict(scene.noise), **to_dict(scene.calibration), "lag_total": scene.noise.lag}
     (d / "noise.json").write_text(json.dumps(noise, indent=2))
     (d / "correspondence.json").write_text(json.dumps(scene.correspondence(), indent=2))
@@ -661,41 +692,38 @@ def _load_noise(d) -> tuple[NoiseSpec, PlanarTransform]:
     return noise, from_dict(PlanarTransform, calib, "noise")
 
 
-def load_scene(bundle_dir: str | Path, cfg: SceneConfig | None = None) -> Scene:
-    """Rebuild a Scene from a bundle; rendering state comes from disk.  The
-    generation config is the bundle's unless cfg is given; a config key the
-    bundle lacks (older bundles hold five) takes its default.  Camera
-    centers are derived from the true centers and noise.json, and
-    correspondence.json must agree with them."""
+def load_scene(bundle_dir: str | Path) -> Scene:
+    """Rebuild a Scene, with its own generation config, from a bundle.
+    from_dict reads objects.json and noise.json, so a config key the bundle
+    lacks (older bundles hold five) takes its default.  Camera centers are
+    derived from the true centers and noise.json, and correspondence.json
+    must agree with them."""
     d = Path(bundle_dir)
-    objs = json.loads((d / "objects.json").read_text())
+    objs = from_dict(_Objects, json.loads((d / "objects.json").read_text()), "objects")
     noise, calibration = _load_noise(json.loads((d / "noise.json").read_text()))
     corr = json.loads((d / "correspondence.json").read_text())
-    if cfg is None:
-        cfg = from_dict(SceneConfig, objs["config"], "config")
-    rows = objs["objects"]
-    if [o["id"] for o in rows] != list(range(len(rows))):
+    rows = objs.objects
+    if [o.id for o in rows] != list(range(len(rows))):
         raise ValueError("object ids must run 0..N-1 in order")
-    truth = {
-        name: np.array([o[key] for o in rows], dtype=np.float64)
-        for key, name in _OBJECT_JSON.items()
-    }
+    centers = np.array([o.center for o in rows], dtype=np.float64)
+    velocity = np.array([o.velocity for o in rows], dtype=np.float64)
     with np.errstate(all="ignore"):  # Scene rejects a non-finite center or velocity
-        camera_centers = _camera_centers(truth["centers"], truth["velocity"], noise, calibration)
+        camera_centers = _camera_centers(centers, velocity, noise, calibration)
     scene = Scene(
-        labels=tuple(str(o["label"]) for o in rows),
-        **truth,
-        lidar_features=objs["lidar_features"],
-        camera_features=objs["camera_features"],
+        labels=tuple(o.label for o in rows),
+        centers=centers,
+        dims=[o.dims for o in rows],
+        yaw=[o.yaw for o in rows],
+        velocity=velocity,
+        z=[o.z for o in rows],
+        lidar_features=objs.lidar_features,
+        camera_features=objs.camera_features,
         camera_centers=camera_centers,
-        lidar_feat=load_feature_map(d / "lidar_feat"),
-        lidar_heat=load_feature_map(d / "lidar_heat"),
-        camera_feat=load_feature_map(d / "camera_feat"),
-        camera_heat=load_feature_map(d / "camera_heat"),
+        **{name: load_feature_map(d / name) for name in _MAPS},
         noise=noise,
         calibration=calibration,
-        seed=int(objs["seed"]),
-        config=cfg,
+        seed=objs.seed,
+        config=objs.config,
     )
     if scene.correspondence() != corr:
         raise ValueError(

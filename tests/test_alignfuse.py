@@ -267,8 +267,8 @@ def expected_instance_channels(meta, painted, channels):
             best = None
             for idx, (prop, vec) in enumerate(painted):
                 covers = (
-                    abs(x - prop.cx) <= prop.width / 2.0
-                    and abs(y - prop.cy) <= prop.height / 2.0
+                    abs(x - prop.cx) <= prop.w / 2.0
+                    and abs(y - prop.cy) <= prop.h / 2.0
                 )
                 if covers and (best is None or (-prop.score, idx) < best[0]):
                     best = ((-prop.score, idx), vec)

@@ -21,7 +21,14 @@ from bevalign.scenesim import (
     hash64,
 )
 
-ALIGN_OUTPUTS = ("alignment.json", "loss_trace.csv", "fused", "fused.json")
+ALIGN_OUTPUTS = (
+    "alignment.json",
+    "lidar_proposals.json",
+    "camera_proposals.json",
+    "loss_trace.csv",
+    "fused",
+    "fused.json",
+)
 
 # sha256 of each output of `align` on the `gen-scene --seed 5 --sigma-t 0.25`
 # bundle, first 16 hex digits; "default" runs with no config, "canonical"
@@ -29,16 +36,28 @@ ALIGN_OUTPUTS = ("alignment.json", "loss_trace.csv", "fused", "fused.json")
 ALIGN_DIGESTS = {
     "default": {
         "alignment.json": "18649ae3aef44b41",
+        "lidar_proposals.json": "37e35096ebf77a2c",
+        "camera_proposals.json": "aba6617ff34b92a1",
         "loss_trace.csv": "88ee55a146da9acb",
         "fused": "3a33628c0ba1053b",
         "fused.json": "070a5167802475ce",
     },
     "canonical": {
         "alignment.json": "aaca81838881d93d",
+        "lidar_proposals.json": "37e35096ebf77a2c",
+        "camera_proposals.json": "aba6617ff34b92a1",
         "loss_trace.csv": "d07c417c489cb399",
         "fused": "9a37015b7fad531a",
         "fused.json": "070a5167802475ce",
     },
+}
+
+# sha256 of the JSON files of that `gen-scene --seed 5 --sigma-t 0.25`
+# bundle, first 16 hex digits.
+BUNDLE_DIGESTS = {
+    "objects.json": "74bc8cf583d0f939",
+    "noise.json": "262e6c86b36be04d",
+    "correspondence.json": "8c88ffbaf1435b64",
 }
 
 # sha256 over the three traces and both heads' weights, first 16 hex digits,
@@ -97,6 +116,7 @@ def test_align_outputs_are_pinned(name, tmp_path, capsys):
         cfg.write_text(json.dumps({"loss": {"include_positive_in_denominator": True}}))
         args += ["--config", str(cfg)]
     assert main(["gen-scene", "--out", str(bundle), "--seed", "5", "--sigma-t", "0.25"]) == 0
+    assert {f: _sha((bundle / f).read_bytes()) for f in BUNDLE_DIGESTS} == BUNDLE_DIGESTS
     assert main(args) == 0, capsys.readouterr().err
     digests = {f: _sha((out / f).read_bytes()) for f in ALIGN_OUTPUTS}
     assert digests == ALIGN_DIGESTS[name]

@@ -413,3 +413,21 @@ class TestBevfContainer:
         assert loaded.meta == fmap.meta
         assert loaded.modality == fmap.modality
         assert np.array_equal(loaded.data, fmap.data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(modality=7),
+            lambda d: d.pop("modality"),
+            lambda d: d.pop("meta"),
+            lambda d: d.update(units="m"),
+        ],
+        ids=["int-modality", "modality-missing", "meta-missing", "unknown-key"],
+    )
+    def test_load_rejects_a_bad_sidecar(self, tmp_path, edit):
+        save_feature_map(tmp_path / "m", small_map(seed=9))
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        edit(sidecar)
+        (tmp_path / "m.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError):
+            load_feature_map(tmp_path / "m")

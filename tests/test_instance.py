@@ -1,10 +1,13 @@
 """Heatmap peak extraction and 5-point RoI feature sampling."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bevalign.grid import (
     FeatureMap,
@@ -106,7 +109,7 @@ class TestSparseMaxPoolPeaks:
         heat = np.zeros((5, 5))
         heat[2, 2] = 1.0
         p = sparse_max_pool_peaks(heat_map(heat), default_dims=(1.0, 2.0, 3.0))[0]
-        assert (p.width, p.height, p.length) == (1.0, 2.0, 3.0)
+        assert (p.w, p.h, p.l) == (1.0, 2.0, 3.0)
         assert p.yaw == 0.0 and p.z == 0.0
 
     @pytest.mark.parametrize("kernel", [1, 2, 4])
@@ -243,7 +246,7 @@ class TestRoiSample:
         assert feats.shape == (n, 15) and feats.dtype == np.float64
         assert not feats.flags.writeable
         for p, row in zip(props, feats):
-            hw, hh = p.width / 2.0, p.height / 2.0
+            hw, hh = p.w / 2.0, p.h / 2.0
             points = [(0.0, 0.0), (0.0, hh), (0.0, -hh), (-hw, 0.0), (hw, 0.0)]
             want = []
             for dx, dy in points:
@@ -302,10 +305,10 @@ class TestProposalSerialization:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "name", ["cx", "cy", "z", "width", "height", "length", "yaw", "score"]
+        "name", ["cx", "cy", "z", "w", "h", "l", "yaw", "score"]
     )
     def test_non_finite_field_rejected(self, name, bad):
-        fields = dict(cx=0.0, cy=0.0, z=0.0, width=2.0, height=2.0, length=2.0, yaw=0.0, score=0.5)
+        fields = dict(cx=0.0, cy=0.0, z=0.0, w=2.0, h=2.0, l=2.0, yaw=0.0, score=0.5)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             Proposal(**{**fields, name: bad}, label=0)
 
@@ -313,3 +316,42 @@ class TestProposalSerialization:
         text = proposals_to_json([Proposal(1.0, 2.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.9, 0)])
         with pytest.raises(ValueError, match="cx must be finite"):
             proposals_from_json(text.replace('"cx": 1.0', '"cx": NaN'))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(label=1.5),
+            lambda d: d.update(label=True),
+            lambda d: d.update(width=2.0),
+            lambda d: d.pop("w"),
+        ],
+        ids=["float-label", "bool-label", "unknown-key", "w-missing"],
+    )
+    def test_json_of_the_wrong_shape_is_rejected(self, edit):
+        d = json.loads(proposals_to_json([Proposal(1.0, 2.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.9, 1)]))[0]
+        edit(d)
+        with pytest.raises(ValueError):
+            proposals_from_json(json.dumps([d]))
+
+    @given(
+        st.lists(
+            st.builds(
+                Proposal,
+                cx=st.floats(allow_nan=False, allow_infinity=False),
+                cy=st.floats(allow_nan=False, allow_infinity=False),
+                z=st.floats(allow_nan=False, allow_infinity=False),
+                w=st.floats(min_value=1e-300, allow_infinity=False),
+                h=st.floats(min_value=1e-300, allow_infinity=False),
+                l=st.floats(min_value=1e-300, allow_infinity=False),
+                yaw=st.floats(allow_nan=False, allow_infinity=False),
+                score=st.floats(0.0, 1.0),
+                label=st.integers(0, 2**40),
+            ),
+            max_size=4,
+        )
+    )
+    def test_drawn_proposals_round_trip(self, props):
+        text = proposals_to_json(props)
+        assert proposals_from_json(text) == props
+        names = [f.name for f in dataclasses.fields(Proposal)]
+        assert all(list(d) == names for d in json.loads(text))

@@ -541,6 +541,10 @@ class TestTemporalNoise:
         assert np.array_equal(a.camera_heat.data, b.camera_heat.data)
 
 
+# an 80 x 80 grid, beside a default bundle's 144 x 144 maps
+GRID_80 = to_dict(GridMeta(-20.0, 20.0, -20.0, 20.0, 0.5))
+
+
 class TestSceneBundle:
     def test_round_trip_is_bitwise(self, tmp_path):
         scene = apply_temporal_noise(
@@ -548,7 +552,7 @@ class TestSceneBundle:
             0.5,
         )
         save_scene(tmp_path / "bundle", scene)
-        loaded = load_scene(tmp_path / "bundle", cfg=SMALL)
+        loaded = load_scene(tmp_path / "bundle")
         assert_truth_equal(loaded, scene)
         assert loaded.noise == scene.noise
         assert loaded.calibration == scene.calibration
@@ -588,13 +592,29 @@ class TestSceneBundle:
             ("noise.json", lambda d: d.update(sigma_t="0.5")),
             ("noise.json", lambda d: d.update(sigma_r=True)),
             ("noise.json", lambda d: d.update(sigma_d=0.01)),
+            # objects.json is read by from_dict, then checked by Scene
+            ("objects.json", lambda d: d.update(seed=1.5)),
+            ("objects.json", lambda d: d.pop("seed")),
+            ("objects.json", lambda d: d["objects"][0].update(label=7)),
+            ("objects.json", lambda d: d["objects"][0].update(label="truck")),
+            ("objects.json", lambda d: d["objects"][0].pop("label")),
+            ("objects.json", lambda d: d["objects"][0].update(yaw="0.5")),
+            ("objects.json", lambda d: d.update(frame=0)),
+            ("objects.json", lambda d: d["objects"][0].update(speed=1.0)),
+            ("objects.json", lambda d: d["config"].update(meta=GRID_80)),
+            ("objects.json", lambda d: [row.pop() for row in d["camera_features"]]),
+            ("camera_feat.json", lambda d: d.update(modality=7)),
+            ("lidar_heat.json", lambda d: d.pop("modality")),
         ],
         ids=[
             "nan-center", "inf-velocity", "repeated-id", "ids-out-of-order",
             "camera-center-missing", "lidar-center-moved", "object-id-changed", "nan-tx",
             "nan-lag-total", "negative-lag-total", "tx-moved", "lag-and-lag-total-changed",
             "tx-missing", "lag-total-differs", "lag-total-missing", "string-sigma-t",
-            "bool-sigma-r", "unknown-key",
+            "bool-sigma-r", "unknown-key", "float-seed", "seed-missing", "int-label",
+            "unknown-label", "label-missing", "string-yaw", "unknown-top-level-key",
+            "unknown-row-key", "config-grid-differs", "camera-features-narrow",
+            "int-modality", "modality-missing",
         ],
     )
     def test_load_rejects_a_corrupt_bundle(self, tmp_path, file, edit):
