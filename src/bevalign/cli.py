@@ -54,6 +54,14 @@ def seed(text: str) -> int:
     return n
 
 
+def trials(text: str) -> int:
+    """A --trials count: a check needs at least one trial."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bevalign",
@@ -68,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
     p_grad.add_argument("--seed", type=seed, default=0)
-    p_grad.add_argument("--trials", type=int, default=100)
+    p_grad.add_argument("--trials", type=trials, default=100)
     p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle comparison")
     p_oracle.add_argument("--kind", required=True, choices=ORACLE_KINDS)
     p_oracle.add_argument("--seed", type=seed, default=0)
-    p_oracle.add_argument("--trials", type=int, default=None, help="defaults per kind")
+    p_oracle.add_argument("--trials", type=trials, default=None, help="defaults per kind")
 
     p_gen = sub.add_parser("gen-scene", help="generate one scene bundle")
     p_gen.add_argument("--out", required=True, help="bundle directory")
@@ -125,17 +133,13 @@ def _cmd_run(args) -> int:
         return 3
     print(f"wrote {Path(cfg.out_dir) / 'metrics.csv'}")
     for point in report.noise_points:
-        noise = point["noise"]
-        tag = f"sigma_t={noise['sigma_t']} sigma_r={noise['sigma_r']} lag={noise['lag']}"
+        tag = " ".join(f"{axis}={v}" for axis, v in point["noise"].items())
         for variant, agg in point["variants"].items():
             print(f"  {tag} {variant}: recall@1={agg['recall_at_1']:.3f}")
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        print("gradcheck: --trials must be >= 1", file=sys.stderr)
-        return 2
     from .oracles import gradcheck_info_nce
 
     rep = gradcheck_info_nce(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
@@ -146,9 +150,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        print("oracle: --trials must be >= 1", file=sys.stderr)
-        return 2
     from . import oracles
 
     runner = getattr(oracles, f"check_{args.kind}")

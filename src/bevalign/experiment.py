@@ -69,6 +69,8 @@ class ExperimentConfig:
         check_fields(self)
         if self.scene.n_objects < 2:
             raise ConfigError("scene.n_objects", "must be >= 2: one object has no negative pair")
+        if self.instance.max_n < 2:
+            raise ConfigError("instance.max_n", "must be >= 2: one proposal has no negative pair")
         if not self.noise_grid:
             raise ConfigError("noise_grid", "must be non-empty")
 
@@ -83,7 +85,7 @@ class ExperimentConfig:
 # JSON sections that set a nested field: the grid is the scene's, and the
 # loss is the training objective's.
 TOP_LEVEL = {"grid": ("scene", "meta"), "loss": ("train", "loss")}
-NOISE_AXES = ("sigma_t", "sigma_r", "lag")
+NOISE_AXES = tuple(field_types(NoiseSpec))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -81,31 +81,25 @@ class InstanceConfig:
 
 
 def sparse_max_pool_peaks(
-    heatmap: FeatureMap,
-    kernel: int = 3,
-    score_thresh: float = 0.1,
-    max_n: int = 200,
-    default_dims: tuple[float, float, float] = (2.0, 2.0, 2.0),
+    heatmap: FeatureMap, cfg: InstanceConfig = InstanceConfig()
 ) -> list[Proposal]:
     """Local-maximum proposals from a per-class score heatmap, no NMS.
 
-    Each heatmap channel is one class; peaks are strict window maxima under
-    the plateau tie rule, kept when score >= score_thresh, sorted by score
-    descending (ties to the lower row-major cell, then lower class), and
-    truncated to max_n.  Every proposal has z 0, yaw 0 and the box dims
-    default_dims.
+    Each heatmap channel is one class; peaks are strict cfg.kernel window
+    maxima under the plateau tie rule, kept when score >= cfg.score_thresh,
+    sorted by score descending (ties to the lower row-major cell, then lower
+    class), and truncated to cfg.max_n.  Every proposal has z 0, yaw 0 and
+    the box dims cfg.default_dims.
     """
-    if kernel < 3 or kernel % 2 == 0:
-        raise InvalidKernelError("kernel", f"must be odd and >= 3, got {kernel}")
     heat = heatmap.data
     h, w, nch = heat.shape
     # A window wider than twice the grid covers it from every cell already.
-    half = min(kernel // 2, max(h, w) - 1)
+    half = min(cfg.kernel // 2, max(h, w) - 1)
     # Only cells at or above the threshold are scored, against a -inf border.
     padded = np.full((h + 2 * half, w + 2 * half, nch), -np.inf, dtype=np.float32)
     padded[half : half + h, half : half + w] = heat
     flat = padded.reshape(-1)
-    idx = np.flatnonzero(heat >= score_thresh)
+    idx = np.flatnonzero(heat >= cfg.score_thresh)
     cell, ch = divmod(idx, nch)
     r, c = divmod(cell, w)
     base = ((r + half) * (w + 2 * half) + c + half) * nch + ch
@@ -126,10 +120,10 @@ def sparse_max_pool_peaks(
         idx, base = idx[wins], base[wins]
     cell, ch = divmod(idx, nch)
     score = heat.reshape(-1)[idx]
-    keep = np.lexsort((ch, cell, -score))[:max_n]
+    keep = np.lexsort((ch, cell, -score))[: cfg.max_n]
     xs, ys = grid_to_world(divmod(cell[keep], w), heatmap.meta)
     rows = zip(xs.tolist(), ys.tolist(), score[keep].tolist(), ch[keep].tolist())
-    return [Proposal(x, y, 0.0, *default_dims, 0.0, s, label) for x, y, s, label in rows]
+    return [Proposal(x, y, 0.0, *cfg.default_dims, 0.0, s, label) for x, y, s, label in rows]
 
 
 def roi_sample(fmap: FeatureMap, proposals: Sequence[Proposal]) -> np.ndarray:
@@ -159,9 +153,7 @@ def extract_instances(
 ) -> tuple[tuple[Proposal, ...], np.ndarray]:
     """Peaks -> proposals, in score order, and their RoI feature matrix."""
     require_same_meta(fmap, heatmap)
-    proposals = tuple(
-        sparse_max_pool_peaks(heatmap, cfg.kernel, cfg.score_thresh, cfg.max_n, cfg.default_dims)
-    )
+    proposals = tuple(sparse_max_pool_peaks(heatmap, cfg))
     return proposals, roi_sample(fmap, proposals)
 
 

@@ -517,8 +517,9 @@ def check_peaks(seed: int = 0, trials: int = 100, size: int = 48) -> CheckReport
     """Fast peak extraction vs the exhaustive scan: exact cell, channel,
     score, and ordering agreement.  Half the maps are quantized to force
     plateaus and score ties."""
-    from .instance import sparse_max_pool_peaks
+    from .instance import InstanceConfig, sparse_max_pool_peaks
 
+    cfg = InstanceConfig()
     rng = np.random.default_rng(seed)
     meta = GridMeta(
         x_min=0.0,
@@ -533,13 +534,13 @@ def check_peaks(seed: int = 0, trials: int = 100, size: int = 48) -> CheckReport
         if t % 2 == 0:
             heat = np.round(heat, 2).astype(np.float32)
         fmap = FeatureMap(meta=meta, data=heat, modality="lidar")
-        props = sparse_max_pool_peaks(fmap, kernel=3, score_thresh=0.1, max_n=200)
+        props = sparse_max_pool_peaks(fmap, cfg)
         got_cmp = []
         for p in props:
             row = round((p.cy - meta.y_min) / meta.resolution)
             col = round((p.cx - meta.x_min) / meta.resolution)
             got_cmp.append((row, col, int(p.label), float(p.score)))
-        want_cmp = peaks_exhaustive(heat, 3, 0.1, 200)
+        want_cmp = peaks_exhaustive(heat, cfg.kernel, cfg.score_thresh, cfg.max_n)
         if got_cmp != want_cmp:
             first_bad = next(
                 (i for i, (g, w) in enumerate(zip(got_cmp, want_cmp)) if g != w),

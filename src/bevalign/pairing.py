@@ -81,15 +81,13 @@ def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
 
 
 def positive_pairs(
-    boxes_lidar: list[Box2D], boxes_camera: list[Box2D], tau_iou: float
+    boxes_lidar: list[Box2D], boxes_camera: list[Box2D], cfg: PairConfig
 ) -> list[tuple[int, int]]:
     """Greedy one-to-one matching: for each LiDAR index in order, claim the
-    still-free camera box with the highest IoU >= tau_iou (ties to the lower
-    camera index).  Each camera box serves at most one LiDAR box."""
-    if not 0.0 < tau_iou <= 1.0:
-        raise ValueError(f"tau_iou must be in (0, 1], got {tau_iou}")
+    still-free camera box with the highest IoU >= cfg.tau_iou (ties to the
+    lower camera index).  Each camera box serves at most one LiDAR box."""
     m = iou_matrix(boxes_lidar, boxes_camera)
-    m[~(m >= tau_iou)] = -1.0  # -1: below tau_iou, or already claimed
+    m[~(m >= cfg.tau_iou)] = -1.0  # -1: below tau_iou, or already claimed
     pairs: list[tuple[int, int]] = []
     for i in np.flatnonzero((m >= 0.0).any(axis=1)).tolist():
         j = int(np.argmax(m[i]))
@@ -149,8 +147,6 @@ class PairSet:
     distinct camera indices, never containing positives[p][1].
     """
 
-    tau_iou: float
-    k_negatives: int
     positives: tuple[tuple[int, int], ...]
     negatives: tuple[tuple[int, ...], ...] = field(default=())
 
@@ -170,9 +166,9 @@ def build_pairs(
     """Positive pairs by IoU plus per-pair KNN negatives over camera centers:
     the K camera indices nearest each pair's anchor (see PairConfig),
     excluding the paired camera index, ordered by ascending distance."""
-    pos = positive_pairs(boxes_lidar, boxes_camera, cfg.tau_iou)
+    pos = positive_pairs(boxes_lidar, boxes_camera, cfg)
     if not pos:
-        return PairSet(cfg.tau_iou, cfg.k_negatives, ())
+        return PairSet(())
     centers = [(b.cx, b.cy) for b in boxes_camera]
     anchors = [
         centers[j] if cfg.anchor == "camera" else (boxes_lidar[i].cx, boxes_lidar[i].cy)
@@ -183,4 +179,4 @@ def build_pairs(
     negs = tuple(
         tuple(n for n in row if n != j)[: cfg.k_negatives] for (_, j), row in zip(pos, near)
     )
-    return PairSet(cfg.tau_iou, cfg.k_negatives, tuple(pos), negs)
+    return PairSet(tuple(pos), negs)

@@ -153,14 +153,14 @@ class SceneConfig:
         return m.x_min + pad, m.x_max - pad, m.y_min + pad, m.y_max - pad
 
 
-# Each per-object array of a Scene and the shape of one of its rows; None
-# is a width the config sets.
+# Each per-object array of a Scene and the shape of one of its rows; a
+# string is the SceneConfig field that sets a width, None a free width.
 _OBJECT_ROWS = {
     "centers": (2,),
     "dims": (3,),
     "yaw": (),
     "velocity": (2,),
-    "z": (None,),
+    "z": ("d_z",),
     "lidar_features": (None,),
     "camera_features": (None,),
     "camera_centers": (2,),
@@ -174,9 +174,10 @@ class Scene:
     """Ground truth and rendered maps of one scene.  Row i of every
     per-object array is object i: its label, true (LiDAR-side) center,
     dims, yaw, velocity, latent z, feature vectors and rendered camera
-    center.  The arrays are read-only float64, finite, and dims positive;
-    every label is one of OBJECT_LABELS.  The four maps lie on config.meta,
-    and each feature map has one channel per column of its feature rows.
+    center.  There are config.n_objects rows, z has config.d_z columns, the
+    arrays are read-only float64, finite, and dims positive; every label is
+    one of OBJECT_LABELS.  The four maps lie on config.meta, and each
+    feature map has one channel per column of its feature rows.
     noise holds the last spatial increment's sigmas and the total lag;
     calibration is the composed rigid transform of the camera side."""
 
@@ -199,7 +200,9 @@ class Scene:
     config: SceneConfig
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
+        n = self.config.n_objects
+        if len(self.labels) != n:
+            raise ValueError(f"labels must number config.n_objects = {n}, got {len(self.labels)}")
         for name, row in _OBJECT_ROWS.items():
             a = getattr(self, name)
             # a frozen float64 array, as every noise point passes on, is kept
@@ -207,7 +210,7 @@ class Scene:
                 a = np.array(a, dtype=np.float64)
                 a.flags.writeable = False
                 object.__setattr__(self, name, a)
-            want = (n, *row)
+            want = (n, *(getattr(self.config, w) if isinstance(w, str) else w for w in row))
             if a.ndim != len(want) or any(w not in (None, got) for w, got in zip(want, a.shape)):
                 raise ValueError(f"{name} must have shape {want}, got {a.shape}")
             if not np.isfinite(a).all():
@@ -703,6 +706,8 @@ def load_scene(bundle_dir: str | Path) -> Scene:
     noise, calibration = _load_noise(json.loads((d / "noise.json").read_text()))
     corr = json.loads((d / "correspondence.json").read_text())
     rows = objs.objects
+    if not rows:
+        raise ValueError("objects.json lists no objects")
     if [o.id for o in rows] != list(range(len(rows))):
         raise ValueError("object ids must run 0..N-1 in order")
     centers = np.array([o.center for o in rows], dtype=np.float64)

@@ -61,8 +61,10 @@ class TestGradcheckCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_zero_trials_is_a_usage_error(self, capsys):
-        assert main(["gradcheck", "--trials", "0"]) == 2
-        assert "trials" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as e:
+            main(["gradcheck", "--trials", "0"])
+        assert e.value.code == 2
+        assert "argument --trials: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_corrupted_gradients_fail_with_exit_one(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--corrupt"]) == 1
@@ -82,8 +84,11 @@ class TestOracleCommand:
             main(["oracle", "--kind", "voxel"])
         assert e.value.code == 2
 
-    def test_zero_trials_is_a_usage_error(self):
-        assert main(["oracle", "--kind", "iou", "--trials", "0"]) == 2
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["oracle", "--kind", "iou", "--trials", "0"])
+        assert e.value.code == 2
+        assert "argument --trials: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_oracles_load_only_with_a_check_command(self):
         """`import bevalign.cli` leaves oracles and mpmath unloaded; a check
@@ -438,6 +443,22 @@ def test_unreadable_config_exits_two(command, kind, tmp_path, capsys):
     ]
     assert main([*args, "--config", str(path)]) == 2
     assert f"config error: cannot read {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_n", [0, 1])
+@pytest.mark.parametrize("command", ["run", "align"])
+def test_proposal_cap_below_two_exits_two_naming_the_field(command, max_n, tmp_path, capsys):
+    # one proposal has no negative pair; both commands used to exit 3 with
+    # NoPairsError once training started
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(TINY_CFG))
+    assert main(["gen-scene", "--out", str(bundle), "--seed", "3", "--config", str(path)]) == 0
+    path.write_text(json.dumps({**TINY_CFG, "instance": {"max_n": max_n}}))
+    args = {"run": ["run"], "align": ["align", "--bundle", str(bundle)]}[command]
+    assert main([*args, "--config", str(path), "--out", str(out)]) == 2
+    assert "config field 'instance.max_n': must be >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 

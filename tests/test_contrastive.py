@@ -50,7 +50,7 @@ def make_scene_pairs(n=6, d=8, k=2, seed=0, ragged=False, identical=False):
     for i in range(n):
         kk = 1 + (i % k) if ragged else k
         negatives.append(tuple(j for j in range(n) if j != i)[:kk])
-    pairs = PairSet(0.1, k, tuple((i, i) for i in range(n)), tuple(negatives))
+    pairs = PairSet(tuple((i, i) for i in range(n)), tuple(negatives))
     return material(lv, cv, pairs)
 
 
@@ -239,7 +239,7 @@ def ragged_scenes(draw):
             extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
             positives.append((i, j))
             negatives.append((0, *extra))
-        pairs = PairSet(0.1, n_c, tuple(positives), tuple(negatives))
+        pairs = PairSet(tuple(positives), tuple(negatives))
         scenes.append(
             material(rng.standard_normal((n_l, d_l)), rng.standard_normal((n_c, d_c)), pairs)
         )
@@ -327,7 +327,7 @@ class TestTrainHeads:
         """Only a zero row that some pair references is an error."""
         rng = np.random.default_rng(8)
         lv, cv = rng.standard_normal((2, 5)), rng.standard_normal((4, 6))
-        pairs = PairSet(0.1, 1, ((0, 0), (1, 1)), ((2,), (2,)))
+        pairs = PairSet(((0, 0), (1, 1)), ((2,), (2,)))
         cfg = TrainConfig(steps=2, d_e=3, loss=LossConfig(mode="cosine"))
         base = train_heads([material(lv, cv[:3], pairs)], cfg)
         unreferenced = cv.copy()
@@ -388,19 +388,14 @@ class TestTrainHeads:
 
     def test_pairs_without_negatives_are_skipped(self):
         sp = make_scene_pairs(n=4, k=1)
-        pairs = PairSet(
-            0.1,
-            1,
-            sp.pairs.positives,
-            ((), (0,), (), (1,)),
-        )
+        pairs = PairSet(sp.pairs.positives, ((), (0,), (), (1,)))
         scenes = [material(sp.lidar_feats, sp.camera_feats, pairs)]
         result = train_heads(scenes, TrainConfig(steps=1, d_e=2))
         assert result.n_pairs == 2
 
     def test_no_usable_pairs_raises(self):
         sp = make_scene_pairs(n=2, k=1)
-        empty = PairSet(0.1, 1, sp.pairs.positives, ((), ()))
+        empty = PairSet(sp.pairs.positives, ((), ()))
         with pytest.raises(NoPairsError):
             train_heads([material(sp.lidar_feats, sp.camera_feats, empty)], TrainConfig())
 

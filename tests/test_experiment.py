@@ -194,7 +194,7 @@ configs = st.builds(
         InstanceConfig,
         kernel=st.integers(1, 5).map(lambda k: 2 * k + 1),
         score_thresh=finite(0.0, 1.0),
-        max_n=st.integers(0, 500),
+        max_n=st.integers(2, 500),  # ExperimentConfig needs two proposals
         default_dims=dims,
     ),
     pairing=st.builds(

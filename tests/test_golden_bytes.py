@@ -136,7 +136,7 @@ def _training_material(ragged: bool) -> list[PipelineOutput]:
             others = [b for b in range(n) if b not in (0, j)]
             k = 1 + i % 3 if ragged else 3
             negatives.append((0, *others[i % 2 : i % 2 + k - 1]) if j != 0 else tuple(others[:k]))
-        pairs = PairSet(0.1, 3, positives, tuple(negatives))
+        pairs = PairSet(positives, tuple(negatives))
         lidar, camera = rng.standard_normal((n, 6)), rng.standard_normal((n, 5))
         scenes.append(PipelineOutput((), lidar, (), camera, pairs=pairs))
     return scenes

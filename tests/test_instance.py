@@ -65,7 +65,7 @@ class TestSparseMaxPoolPeaks:
         heat = np.zeros((5, 5))
         heat[1, 1] = 0.4
         heat[3, 3] = 0.05
-        props = sparse_max_pool_peaks(heat_map(heat), score_thresh=0.1)
+        props = sparse_max_pool_peaks(heat_map(heat), InstanceConfig(score_thresh=0.1))
         assert [p.score for p in props] == [pytest.approx(0.4)]
 
     def test_ordering_and_max_n(self):
@@ -80,7 +80,7 @@ class TestSparseMaxPoolPeaks:
         # equal scores order by row-major cell: (1,7) before (7,1)
         assert (props[0].cy, props[0].cx) == (1.0, 7.0)
         assert (props[1].cy, props[1].cx) == (7.0, 1.0)
-        top2 = sparse_max_pool_peaks(heat_map(heat), max_n=2)
+        top2 = sparse_max_pool_peaks(heat_map(heat), InstanceConfig(max_n=2))
         assert [(p.cy, p.cx) for p in top2] == [(1.0, 7.0), (7.0, 1.0)]
 
     def test_neighbors_within_kernel_suppressed(self):
@@ -95,8 +95,8 @@ class TestSparseMaxPoolPeaks:
         heat = np.zeros((9, 9))
         heat[4, 2] = 0.9
         heat[4, 4] = 0.8
-        assert len(sparse_max_pool_peaks(heat_map(heat), kernel=3)) == 2
-        assert len(sparse_max_pool_peaks(heat_map(heat), kernel=5)) == 1
+        assert len(sparse_max_pool_peaks(heat_map(heat), InstanceConfig(kernel=3))) == 2
+        assert len(sparse_max_pool_peaks(heat_map(heat), InstanceConfig(kernel=5))) == 1
 
     def test_multichannel_labels(self):
         heat = np.zeros((5, 5, 2))
@@ -108,14 +108,15 @@ class TestSparseMaxPoolPeaks:
     def test_default_dims_without_regression(self):
         heat = np.zeros((5, 5))
         heat[2, 2] = 1.0
-        p = sparse_max_pool_peaks(heat_map(heat), default_dims=(1.0, 2.0, 3.0))[0]
+        cfg = InstanceConfig(default_dims=(1.0, 2.0, 3.0))
+        p = sparse_max_pool_peaks(heat_map(heat), cfg)[0]
         assert (p.w, p.h, p.l) == (1.0, 2.0, 3.0)
         assert p.yaw == 0.0 and p.z == 0.0
 
     @pytest.mark.parametrize("kernel", [1, 2, 4])
     def test_invalid_kernel_rejected(self, kernel):
         with pytest.raises(InvalidKernelError):
-            sparse_max_pool_peaks(heat_map(np.zeros((5, 5))), kernel=kernel)
+            InstanceConfig(kernel=kernel)
 
     def test_matches_exhaustive_scan_with_plateaus(self):
         rng = np.random.default_rng(23)
@@ -150,7 +151,9 @@ class TestSparseMaxPoolPeaks:
             if trial % 3 == 0:
                 heat[rng.uniform(size=heat.shape) < 0.3] = 0.0  # flat zero regions
                 heat[rng.uniform(size=heat.shape) < 0.1] = -0.0
-            props = sparse_max_pool_peaks(heat_map(heat, meta), kernel, score_thresh)
+            props = sparse_max_pool_peaks(
+                heat_map(heat, meta), InstanceConfig(kernel=kernel, score_thresh=score_thresh)
+            )
             assert self.cells(props, meta) == peaks_exhaustive(heat, kernel, score_thresh)
 
     def test_cross_channel_ties_order_by_channel(self):
@@ -158,7 +161,9 @@ class TestSparseMaxPoolPeaks:
         meta = GridMeta(0.0, 12.0, 0.0, 12.0, 1.0)
         layer = np.round(rng.uniform(0.0, 1.0, size=(12, 12)), 1)
         heat = np.stack([layer, layer], axis=2).astype(np.float32)
-        props = sparse_max_pool_peaks(heat_map(heat, meta), kernel=5, score_thresh=0.0)
+        props = sparse_max_pool_peaks(
+            heat_map(heat, meta), InstanceConfig(kernel=5, score_thresh=0.0)
+        )
         got = self.cells(props, meta)
         assert got == peaks_exhaustive(heat, 5, 0.0)
         # every peak appears in both channels, channel 0 first
@@ -169,7 +174,9 @@ class TestSparseMaxPoolPeaks:
         rng = np.random.default_rng(9)
         meta = GridMeta(0.0, 16.0, 0.0, 16.0, 1.0)
         heat = np.round(rng.uniform(0.0, 1.0, size=(16, 16, 2)), 1).astype(np.float32)
-        props = sparse_max_pool_peaks(heat_map(heat, meta), 7, 0.0, max_n=max_n)
+        props = sparse_max_pool_peaks(
+            heat_map(heat, meta), InstanceConfig(kernel=7, score_thresh=0.0, max_n=max_n)
+        )
         want = peaks_exhaustive(heat, 7, 0.0, max_n)
         assert self.cells(props, meta) == want
         assert len(want) == min(max_n, len(peaks_exhaustive(heat, 7, 0.0, 1000)))
@@ -180,10 +187,11 @@ class TestSparseMaxPoolPeaks:
         # float32 values (80 MB).
         heat = np.random.default_rng(0).uniform(0.0, 1.0, size=(144, 144, 1)).astype(np.float32)
         fmap = heat_map(heat, default_meta())
-        sparse_max_pool_peaks(fmap, kernel=31, score_thresh=0.0)
+        cfg = InstanceConfig(kernel=31, score_thresh=0.0)
+        sparse_max_pool_peaks(fmap, cfg)
         tracemalloc.start()
         try:
-            props = sparse_max_pool_peaks(fmap, kernel=31, score_thresh=0.0)
+            props = sparse_max_pool_peaks(fmap, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import re
 import sys
 import typing
 from pathlib import Path
@@ -58,6 +59,24 @@ def test_records_serialise_through_config_to_dict_and_from_dict():
                     if isinstance(node, ast.FunctionDef) and node.name in ("to_dict", "from_dict")
                 ]
     assert own == []
+
+
+def test_every_runtime_dependency_is_imported_by_the_package():
+    # A dependency that no module imports is only an install cost.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    src = Path(bevalign.__file__).resolve().parent
+    imported = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    # the distribution name before any version spec, as its import name
+    names = [re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in declared]
+    assert names and [n for n in names if n not in imported] == []
 
 
 def test_knn_is_the_exported_neighbor_search():
@@ -121,6 +140,41 @@ def config_knobs(cls, path=""):
             yield from config_knobs(inner, f"{path}{f.name}.")
         else:
             yield f"{path}{f.name}", inner, f
+
+
+def test_no_function_keeps_a_second_default_for_a_config_knob():
+    # A stage function takes its config record; a parameter named after a
+    # knob, with that knob's default, is a second home for the knob, whose
+    # rules the function would have to repeat.  The oracles keep their own
+    # reference signatures.
+    defaults: dict[str, list] = {}
+    for _, _, f in config_knobs(bevalign.ExperimentConfig):
+        if f.default is not dataclasses.MISSING:
+            defaults.setdefault(f.name, []).append(f.default)
+        elif f.default_factory is not dataclasses.MISSING:
+            defaults.setdefault(f.name, []).append(f.default_factory())
+    src = Path(bevalign.__file__).resolve().parent
+    copies = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "oracles":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args]
+            with_defaults = [
+                *zip(params[len(params) - len(a.defaults) :], a.defaults),
+                *((arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None),
+            ]
+            for arg, d in with_defaults:
+                try:
+                    value = ast.literal_eval(d)
+                except ValueError:
+                    continue
+                if value in defaults.get(arg.arg, ()):
+                    copies.append(f"{path.stem}.{node.name}({arg.arg}={value!r})")
+    assert copies == []
 
 
 def test_every_numeric_knob_is_bounded_and_every_string_knob_is_a_choice():

@@ -89,29 +89,29 @@ class TestPositivePairs:
     def test_simple_one_to_one(self):
         lidar = [Box2D(0, 0, 2, 2), Box2D(10, 0, 2, 2)]
         camera = [Box2D(10.2, 0, 2, 2), Box2D(0.1, 0, 2, 2)]
-        assert positive_pairs(lidar, camera, 0.1) == [(0, 1), (1, 0)]
+        assert positive_pairs(lidar, camera, PairConfig(tau_iou=0.1)) == [(0, 1), (1, 0)]
 
     def test_threshold_filters(self):
         lidar = [Box2D(0, 0, 2, 2)]
         camera = [Box2D(1.0, 0, 2, 2)]  # IoU = 1/3
-        assert positive_pairs(lidar, camera, 0.5) == []
-        assert positive_pairs(lidar, camera, 1 / 3) == [(0, 0)]
+        assert positive_pairs(lidar, camera, PairConfig(tau_iou=0.5)) == []
+        assert positive_pairs(lidar, camera, PairConfig(tau_iou=1 / 3)) == [(0, 0)]
 
     def test_earlier_lidar_index_claims_first(self):
         contested = Box2D(0, 0, 2, 2)
         lidar = [Box2D(0.1, 0, 2, 2), Box2D(-0.1, 0, 2, 2)]
-        pairs = positive_pairs(lidar, [contested], 0.1)
+        pairs = positive_pairs(lidar, [contested], PairConfig(tau_iou=0.1))
         assert pairs == [(0, 0)]
 
     def test_tie_goes_to_lower_camera_index(self):
         lidar = [Box2D(0, 0, 2, 2)]
         camera = [Box2D(0, 1, 2, 2), Box2D(0, -1, 2, 2)]  # same IoU both ways
-        assert positive_pairs(lidar, camera, 0.1) == [(0, 0)]
+        assert positive_pairs(lidar, camera, PairConfig(tau_iou=0.1)) == [(0, 0)]
 
     def test_camera_box_used_at_most_once(self):
         lidar = [Box2D(0, 0, 2, 2), Box2D(0.2, 0, 2, 2)]
         camera = [Box2D(0.1, 0, 2, 2)]
-        pairs = positive_pairs(lidar, camera, 0.05)
+        pairs = positive_pairs(lidar, camera, PairConfig(tau_iou=0.05))
         assert pairs == [(0, 0)]
 
     @given(data=st.data())
@@ -128,13 +128,14 @@ class TestPositivePairs:
         assert m.shape == (len(lidar), len(camera))
         scalar = np.array([[iou(a, b) for b in camera] for a in lidar]).reshape(m.shape)
         assert np.array_equal(m.view(np.uint64), scalar.view(np.uint64))
-        assert positive_pairs(lidar, camera, tau) == positive_pairs_greedy(lidar, camera, tau)
+        got = positive_pairs(lidar, camera, PairConfig(tau_iou=tau))
+        assert got == positive_pairs_greedy(lidar, camera, tau)
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
-            positive_pairs([], [], 0.0)
+            PairConfig(tau_iou=0.0)
         with pytest.raises(ValueError):
-            positive_pairs([], [], 1.5)
+            PairConfig(tau_iou=1.5)
 
 
 class TestKnn:
@@ -281,11 +282,11 @@ class TestBuildPairs:
 
     def test_validation_rejects_bad_negatives(self):
         with pytest.raises(ValueError, match="paired camera index"):
-            PairSet(tau_iou=0.1, k_negatives=2, positives=((0, 1),), negatives=((1, 2),))
+            PairSet(positives=((0, 1),), negatives=((1, 2),))
         with pytest.raises(ValueError, match="duplicates"):
-            PairSet(tau_iou=0.1, k_negatives=2, positives=((0, 1),), negatives=((2, 2),))
+            PairSet(positives=((0, 1),), negatives=((2, 2),))
         with pytest.raises(ValueError, match="parallel"):
-            PairSet(tau_iou=0.1, k_negatives=2, positives=((0, 1), (1, 0)), negatives=((2,),))
+            PairSet(positives=((0, 1), (1, 0)), negatives=((2,),))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

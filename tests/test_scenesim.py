@@ -47,6 +47,21 @@ SMALL = SceneConfig(
 CLEAN = replace(SMALL, sigma_f=0.0)
 
 
+def keep_objects(n):
+    """A bundle edit that keeps objects 0..n-1 of objects.json or of
+    correspondence.json."""
+
+    def edit(d):
+        if isinstance(d, dict):
+            tables = (d["objects"], d["lidar_features"], d["camera_features"])
+        else:
+            tables = (d,)
+        for rows in tables:
+            del rows[n:]
+
+    return edit
+
+
 def peak_cell(center, meta):
     r, c = world_to_grid(center, meta)
     return int(round(r)), int(round(c))
@@ -605,6 +620,10 @@ class TestSceneBundle:
             ("objects.json", lambda d: [row.pop() for row in d["camera_features"]]),
             ("camera_feat.json", lambda d: d.update(modality=7)),
             ("lidar_heat.json", lambda d: d.pop("modality")),
+            # the object count and z width follow the bundle's config
+            ("objects.json", lambda d: [row["z"].pop() for row in d["objects"]]),
+            (("objects.json", "correspondence.json"), keep_objects(3)),
+            (("objects.json", "correspondence.json"), keep_objects(0)),
         ],
         ids=[
             "nan-center", "inf-velocity", "repeated-id", "ids-out-of-order",
@@ -614,18 +633,28 @@ class TestSceneBundle:
             "bool-sigma-r", "unknown-key", "float-seed", "seed-missing", "int-label",
             "unknown-label", "label-missing", "string-yaw", "unknown-top-level-key",
             "unknown-row-key", "config-grid-differs", "camera-features-narrow",
-            "int-modality", "modality-missing",
+            "int-modality", "modality-missing", "z-narrow", "fewer-objects", "no-objects",
         ],
     )
     def test_load_rejects_a_corrupt_bundle(self, tmp_path, file, edit):
         bundle = tmp_path / "bundle"
         spatial = apply_spatial_noise(gen_scene(SMALL, 13), 0.3, 0.02, np.random.default_rng(4))
         save_scene(bundle, apply_temporal_noise(spatial, 0.5))
-        d = json.loads((bundle / file).read_text())
-        edit(d)
-        (bundle / file).write_text(json.dumps(d))
+        for name in (file,) if isinstance(file, str) else file:
+            d = json.loads((bundle / name).read_text())
+            edit(d)
+            (bundle / name).write_text(json.dumps(d))
         with pytest.raises(ValueError):
             load_scene(bundle)
+
+    def test_load_of_no_objects_names_objects_json(self, tmp_path):
+        save_scene(tmp_path, gen_scene(SMALL, 13))
+        for name in ("objects.json", "correspondence.json"):
+            d = json.loads((tmp_path / name).read_text())
+            keep_objects(0)(d)
+            (tmp_path / name).write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="objects.json"):
+            load_scene(tmp_path)
 
     def test_non_finite_truth_is_rejected_without_a_warning(self, tmp_path):
         # without lag, deriving the camera centers computes inf * 0
