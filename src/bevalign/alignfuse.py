@@ -55,6 +55,8 @@ class AlignEntry:
         s = np.asarray(self.scores, dtype=np.float64)
         s.flags.writeable = False
         object.__setattr__(self, "scores", s)
+        if s.shape != (len(self.neighbor_indices),):
+            raise ValueError("scores must hold one score per neighbor")
         if self.chosen_rank is not None:
             if not (0 <= self.chosen_rank < len(self.neighbor_indices)):
                 raise ValueError("chosen_rank out of range")

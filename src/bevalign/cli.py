@@ -9,7 +9,9 @@
 
 Exit codes: 0 success, 1 a check failed, 2 bad usage or config (such as an
 unreadable --config, or a negative --seed; `run` hashes its seed and takes
-any integer), 3 runtime failure inside the pipeline.
+any integer), 3 runtime failure inside the pipeline.  `main` returns the
+code for every failure, argparse's usage errors included, so a Python caller
+never sees SystemExit.
 """
 
 from __future__ import annotations
@@ -125,12 +127,8 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, base_seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    try:
-        report, result = run_experiment(cfg)
-        write_outputs(cfg.out_dir, report, result)
-    except Exception as e:  # noqa: BLE001 - boundary: translate to exit code
-        print(_runtime_message(e), file=sys.stderr)
-        return 3
+    report, result = run_experiment(cfg)
+    write_outputs(cfg.out_dir, report, result)
     print(f"wrote {Path(cfg.out_dir) / 'metrics.csv'}")
     for point in report.noise_points:
         tag = " ".join(f"{axis}={v}" for axis, v in point["noise"].items())
@@ -171,53 +169,44 @@ def _cmd_gen_scene(args) -> int:
     try:
         spec = NoiseSpec(args.sigma_t, args.sigma_r, args.lag)
     except ConfigError as e:
-        print(f"gen-scene: {e.field} {e.reason}", file=sys.stderr)
-        return 2
-    try:
-        save_scene(args.out, apply_noise(gen_scene(cfg.scene, args.seed), spec))
-    except Exception as e:  # noqa: BLE001
-        print(_runtime_message(e), file=sys.stderr)
-        return 3
+        raise _UsageError(f"gen-scene: {e.field} {e.reason}") from e
+    save_scene(args.out, apply_noise(gen_scene(cfg.scene, args.seed), spec))
     print(f"wrote scene bundle to {args.out}")
     return 0
 
 
 def _cmd_align(args) -> int:
     cfg = _config(args)
-    try:
-        scene = load_scene(args.bundle)
-        pipe = run_scene_pipeline(scene, cfg)
-        if pipe.pairs is None or not pipe.pairs.positives:
-            print("align: no positive pairs found in bundle", file=sys.stderr)
-            return 3
-        result = train_heads([pipe], cfg.train)
-        alignment = align_instances(pipe, result.head_lidar, result.head_camera, cfg.align)
-        fused = fuse(
-            scene.lidar_feat, scene.camera_feat, alignment, pipe.lidar_proposals, pipe.camera_feats
-        )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "alignment.json").write_text(
-            json.dumps(
-                [
-                    {
-                        "lidar_index": e.lidar_index,
-                        "neighbors": list(e.neighbor_indices),
-                        "scores": [float(s) for s in e.scores],
-                        "chosen_camera_index": e.chosen_camera_index,
-                    }
-                    for e in alignment.entries
-                ],
-                indent=2,
-            )
-        )
-        (out / "lidar_proposals.json").write_text(proposals_to_json(pipe.lidar_proposals))
-        (out / "camera_proposals.json").write_text(proposals_to_json(pipe.camera_proposals))
-        fused.save(out / "fused")
-        write_loss_trace_csv(out / "loss_trace.csv", result)
-    except Exception as e:  # noqa: BLE001
-        print(_runtime_message(e), file=sys.stderr)
+    scene = load_scene(args.bundle)
+    pipe = run_scene_pipeline(scene, cfg)
+    if pipe.pairs is None or not pipe.pairs.positives:
+        print("align: no positive pairs found in bundle", file=sys.stderr)
         return 3
+    result = train_heads([pipe], cfg.train)
+    alignment = align_instances(pipe, result.head_lidar, result.head_camera, cfg.align)
+    fused = fuse(
+        scene.lidar_feat, scene.camera_feat, alignment, pipe.lidar_proposals, pipe.camera_feats
+    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "alignment.json").write_text(
+        json.dumps(
+            [
+                {
+                    "lidar_index": e.lidar_index,
+                    "neighbors": list(e.neighbor_indices),
+                    "scores": [float(s) for s in e.scores],
+                    "chosen_camera_index": e.chosen_camera_index,
+                }
+                for e in alignment.entries
+            ],
+            indent=2,
+        )
+    )
+    (out / "lidar_proposals.json").write_text(proposals_to_json(pipe.lidar_proposals))
+    (out / "camera_proposals.json").write_text(proposals_to_json(pipe.camera_proposals))
+    fused.save(out / "fused")
+    write_loss_trace_csv(out / "loss_trace.csv", result)
     chosen = sum(1 for e in alignment.entries if e.chosen_rank is not None)
     print(f"aligned {chosen}/{len(alignment.entries)} instances; outputs in {args.out}")
     return 0
@@ -231,8 +220,10 @@ def _runtime_message(e: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code  # argparse: 2 for bad usage, 0 after --help
     handlers = {
         "run": _cmd_run,
         "gradcheck": _cmd_gradcheck,
@@ -245,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(e, file=sys.stderr)
         return 2
+    except Exception as e:  # noqa: BLE001 - boundary: translate to exit code
+        print(_runtime_message(e), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

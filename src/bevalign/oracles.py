@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the fast
 paths: exact rational grid math, arbitrary-precision transforms and loss
 values, the per-pair InfoNCE loss with closed-form gradients, explicit
-4-term bilinear interpolation, exhaustive peak scanning, scalar greedy IoU
-matching, brute-force KNN, per-candidate alignment scores, rasterized IoU,
-and central finite differences for the loss gradients.
+4-term bilinear interpolation, exhaustive peak scanning, scalar IoU and
+greedy IoU matching, brute-force KNN, per-candidate alignment scores,
+rasterized IoU, and central finite differences for the loss gradients.
 
 Everything here favors obviousness over speed.  None of it is used by the
 pipeline itself; the CLI exposes these as pass/fail check commands."""
@@ -20,7 +20,7 @@ import numpy as np
 from .alignfuse import AlignConfig, AlignEntry
 from .contrastive import ZERO_NORM_EPS, LossConfig, ProjectionHead, ZeroVectorError
 from .grid import FeatureMap, GridMeta, PlanarTransform
-from .pairing import Box2D, iou
+from .pairing import Box2D, iou_matrix
 
 
 def world_to_grid_exact(
@@ -248,11 +248,29 @@ def peaks_exhaustive(
     return hits[:max_n]
 
 
+def iou_scalar(a: Box2D, b: Box2D) -> float:
+    """IoU of one pair of axis-aligned boxes, by the float operations of
+    `pairing.iou_matrix`, whose entries must equal it bit for bit."""
+    ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
+    ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
+    bx0, bx1 = b.cx - b.w / 2, b.cx + b.w / 2
+    by0, by1 = b.cy - b.h / 2, b.cy + b.h / 2
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
 def positive_pairs_greedy(
     boxes_lidar: list[Box2D], boxes_camera: list[Box2D], tau_iou: float
 ) -> list[tuple[int, int]]:
     """The scalar greedy matching, one box pair at a time: each LiDAR box in
-    order claims the still-free camera box with the highest iou >= tau_iou,
+    order claims the still-free camera box with the highest IoU >= tau_iou,
     ties to the lower camera index."""
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
@@ -262,7 +280,7 @@ def positive_pairs_greedy(
         for j, bc in enumerate(boxes_camera):
             if j in taken:
                 continue
-            v = iou(bl, bc)
+            v = iou_scalar(bl, bc)
             if v >= tau_iou and v > best:
                 best = v
                 best_j = j
@@ -453,7 +471,7 @@ def check_knn(seed: int = 0, n_queries: int = 100, n_points: int = 1000) -> Chec
 
 
 def check_iou(seed: int = 0, trials: int = 1000, tol: float = 2e-2) -> CheckReport:
-    """Analytic IoU vs 0.01 m rasterization."""
+    """The pipeline's IoU, `pairing.iou_matrix`, vs 0.01 m rasterization."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_detail = None
@@ -471,7 +489,7 @@ def check_iou(seed: int = 0, trials: int = 1000, tol: float = 2e-2) -> CheckRepo
             w=float(rng.uniform(1.0, 5.0)),
             h=float(rng.uniform(1.0, 5.0)),
         )
-        err = abs(iou(a, b) - iou_raster(a, b))
+        err = abs(float(iou_matrix([a], [b])[0, 0]) - iou_raster(a, b))
         if err > worst:
             worst = err
             worst_detail = {"trial": t, "a": a.__dict__, "b": b.__dict__, "err": err}

@@ -1,11 +1,12 @@
 """Cross-modal pair construction: IoU positives and KNN negatives.
 
-Positive pairs match LiDAR boxes to camera boxes one-to-one by greedy
-argmax IoU (LiDAR index order, ties to the lower camera index), thresholded
-at tau_iou.  Negatives are the K nearest camera instances around each
-positive pair's anchor, found by `knn`, an exact sort of all squared
-distances: neighbors are ordered by (squared distance, index), so any tie
-resolves to the lower index, matching a brute-force distance sort.
+Positive pairs match LiDAR boxes to camera boxes one-to-one by
+`greedy_match` (also the ground-truth matcher of `scenesim`) over
+`iou_matrix`, thresholded at tau_iou.  Negatives are the K nearest camera
+instances around each positive pair's anchor, found by `knn`, an exact sort
+of all squared distances: neighbors are ordered by (squared distance,
+index), so any tie resolves to the lower index, matching a brute-force
+distance sort.
 
 IoU is axis-aligned throughout; proposal yaw never enters the box geometry.
 """
@@ -41,31 +42,11 @@ class Box2D:
             raise ValueError("box extents must be non-negative")
 
 
-def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two axis-aligned boxes; 0 when disjoint
-    or when both are degenerate.
-
-    Areas are computed from the same rounded corner coordinates as the
-    intersection, which keeps the result in [0, 1] and makes iou(a, a)
-    exactly 1 even when w/2 is inexact in binary."""
-    ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
-    ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
-    bx0, bx1 = b.cx - b.w / 2, b.cx + b.w / 2
-    by0, by1 = b.cy - b.h / 2, b.cy + b.h / 2
-    ix = min(ax1, bx1) - max(ax0, bx0)
-    iy = min(ay1, by1) - max(ay0, by0)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
-    """iou(a, b) for every pair, shape (len(boxes_a), len(boxes_b)), by the
-    same float operations, so each entry is bit-equal to it."""
+    """IoU of every pair of axis-aligned boxes, shape (len(boxes_a),
+    len(boxes_b)): in [0, 1], 0 where disjoint or degenerate, and exactly 1
+    for a box with itself, since areas use the intersection's rounded
+    corners.  Each entry equals `oracles.iou_scalar` bit for bit."""
     a = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_a], dtype=np.float64).reshape(-1, 4)
     b = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes_b], dtype=np.float64).reshape(-1, 4)
     ax0, ax1 = a[:, 0] - a[:, 2] / 2, a[:, 0] + a[:, 2] / 2
@@ -80,6 +61,22 @@ def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
         return np.where((ix <= 0.0) | (iy <= 0.0) | (union <= 0.0), 0.0, inter / union)
 
 
+def greedy_match(gain: np.ndarray, rows: list[int]) -> list[tuple[int, int]]:
+    """One-to-one matching on the (R, C) matrix `gain`, which it consumes:
+    each of `rows`, in the order given, claims the unclaimed column of
+    highest gain, ties to the lower column; -inf (never NaN) marks a pair
+    that may not match.  Returns the (row, column) pairs in claim order."""
+    pairs: list[tuple[int, int]] = []
+    if gain.shape[1] == 0:
+        return pairs
+    for i in rows:
+        j = int(np.argmax(gain[i]))
+        if gain[i, j] > -np.inf:
+            pairs.append((i, j))
+            gain[:, j] = -np.inf  # claimed
+    return pairs
+
+
 def positive_pairs(
     boxes_lidar: list[Box2D], boxes_camera: list[Box2D], cfg: PairConfig
 ) -> list[tuple[int, int]]:
@@ -87,14 +84,8 @@ def positive_pairs(
     still-free camera box with the highest IoU >= cfg.tau_iou (ties to the
     lower camera index).  Each camera box serves at most one LiDAR box."""
     m = iou_matrix(boxes_lidar, boxes_camera)
-    m[~(m >= cfg.tau_iou)] = -1.0  # -1: below tau_iou, or already claimed
-    pairs: list[tuple[int, int]] = []
-    for i in np.flatnonzero((m >= 0.0).any(axis=1)).tolist():
-        j = int(np.argmax(m[i]))
-        if m[i, j] >= 0.0:
-            pairs.append((i, j))
-            m[:, j] = -1.0
-    return pairs
+    gain = np.where(m >= cfg.tau_iou, m, -np.inf)
+    return greedy_match(gain, np.flatnonzero((gain > -np.inf).any(axis=1)).tolist())
 
 
 def knn(

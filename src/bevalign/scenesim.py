@@ -54,6 +54,7 @@ from .grid import (
     save_feature_map,
     world_to_grid,
 )
+from .pairing import greedy_match
 
 OBJECT_LABELS = ("vehicle", "pedestrian", "cyclist")
 
@@ -226,10 +227,6 @@ class Scene:
             fmap, rows = getattr(self, f"{side}_feat"), getattr(self, f"{side}_features")
             if fmap.channels != rows.shape[1]:
                 raise ValueError(f"{side}_feat needs {rows.shape[1]} channels, got {fmap.channels}")
-
-    @property
-    def n_objects(self) -> int:
-        return len(self.labels)
 
     def correspondence(self) -> list[dict]:
         """Per object: true (lidar-side) center and rendered camera center."""
@@ -556,23 +553,17 @@ def assign_proposals(
     dims: np.ndarray,
     radius_scale: float = 1.5,
 ) -> dict[int, int]:
-    """Greedy proposal-to-object assignment: proposals in descending score
+    """`greedy_match` of proposals to objects: proposals in descending score
     order (ties -> lower index) claim their nearest unclaimed object (ties ->
     lower index) within radius_scale * the object's box diagonal, from its
     (O, 3) dims.  Returns proposal -> object, in claim order."""
-    if len(centers) == 0 or len(object_centers) == 0:
-        return {}
-    delta = np.asarray(centers)[:, None, :] - np.asarray(object_centers)[None, :, :]
+    xy = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    delta = xy[:, None, :] - np.asarray(object_centers)[None, :, :]
     d = np.hypot(delta[..., 0], delta[..., 1])
-    # out of reach and, once claimed, taken: at infinity
-    d = np.where(d <= radius_scale * np.hypot(dims[:, 0], dims[:, 1]), d, np.inf)
-    out: dict[int, int] = {}
-    for pi in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist():
-        oi = int(np.argmin(d[pi]))
-        if d[pi, oi] < np.inf:
-            out[pi] = oi
-            d[:, oi] = np.inf
-    return out
+    # nearest is highest gain; out of reach may not match
+    gain = np.where(d <= radius_scale * np.hypot(dims[:, 0], dims[:, 1]), -d, -np.inf)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist()
+    return dict(greedy_match(gain, order))
 
 
 def eval_alignment(scene: Scene, out: PipelineOutput | None) -> Metrics:

@@ -94,6 +94,17 @@ class TestAlign:
         with pytest.raises(ValueError, match="maximum"):
             AlignEntry(0, (3, 4), np.array([1.0, 2.0]), chosen_rank=0)
 
+    @pytest.mark.parametrize(
+        "neighbors,scores,rank",
+        [((1, 2), [0.5], 0), ((1, 2), [0.5], 1), ((1,), [], None), ((), [0.5], None),
+         ((1, 2), [[0.5, 0.5]], 0)],
+        ids=["short", "short-chosen-past-end", "missing", "extra", "2-d"],
+    )
+    def test_one_score_per_neighbor(self, neighbors, scores, rank):
+        # alignment.json readers build entries from a file
+        with pytest.raises(ValueError, match="one score per neighbor"):
+            AlignEntry(0, neighbors, scores, rank)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AlignConfig(k_neighbors=0)

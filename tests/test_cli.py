@@ -61,9 +61,7 @@ class TestGradcheckCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_zero_trials_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["gradcheck", "--trials", "0"])
-        assert e.value.code == 2
+        assert main(["gradcheck", "--trials", "0"]) == 2
         assert "argument --trials: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_corrupted_gradients_fail_with_exit_one(self, capsys):
@@ -79,16 +77,23 @@ class TestOracleCommand:
         assert main(["oracle", "--kind", kind, "--trials", trials]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_unknown_kind_is_rejected_by_the_parser(self):
-        with pytest.raises(SystemExit) as e:
-            main(["oracle", "--kind", "voxel"])
-        assert e.value.code == 2
+    def test_unknown_kind_is_rejected_by_the_parser(self, capsys):
+        assert main(["oracle", "--kind", "voxel"]) == 2
+        assert "argument --kind: invalid choice: 'voxel'" in capsys.readouterr().err
 
     def test_zero_trials_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["oracle", "--kind", "iou", "--trials", "0"])
-        assert e.value.code == 2
+        assert main(["oracle", "--kind", "iou", "--trials", "0"]) == 2
         assert "argument --trials: must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_a_failing_check_is_a_runtime_failure(self, monkeypatch, capsys):
+        from bevalign import oracles
+
+        def broken(**kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(oracles, "check_knn", broken)
+        assert main(["oracle", "--kind", "knn"]) == 3
+        assert "runtime failure: RuntimeError: boom" in capsys.readouterr().err
 
     def test_oracles_load_only_with_a_check_command(self):
         """`import bevalign.cli` leaves oracles and mpmath unloaded; a check
@@ -113,10 +118,13 @@ class TestOracleCommand:
 
 
 class TestRunCommand:
-    def test_missing_config_flag_exits_two(self):
-        with pytest.raises(SystemExit) as e:
-            main(["run"])
-        assert e.value.code == 2
+    def test_missing_config_flag_exits_two(self, capsys):
+        assert main(["run"]) == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -293,7 +301,7 @@ class TestGenSceneCommand:
         assert code == 0
         assert "bundle" in capsys.readouterr().out
         scene = load_scene(bundle)
-        assert scene.n_objects == 4
+        assert scene.config.n_objects == 4
         assert scene.seed == 3
 
     def test_noise_flags_are_recorded_in_the_bundle(self, cfg_file, tmp_path):
@@ -474,9 +482,7 @@ def test_proposal_cap_below_two_exits_two_naming_the_field(command, max_n, tmp_p
 def test_negative_seed_exits_two_naming_the_flag(args, tmp_path, capsys):
     out = tmp_path / "out"
     args = [str(out) if a == "OUT" else a for a in args]
-    with pytest.raises(SystemExit) as e:
-        main([*args, "--seed", "-1"])
-    assert e.value.code == 2
+    assert main([*args, "--seed", "-1"]) == 2
     assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 

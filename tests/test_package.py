@@ -79,6 +79,24 @@ def test_every_runtime_dependency_is_imported_by_the_package():
     assert names and [n for n in names if n not in imported] == []
 
 
+def test_only_cli_main_turns_failures_into_exit_codes():
+    # cli.main is the one place where an Exception or SystemExit becomes an
+    # exit code; a command that catches either keeps a second copy.
+    broad = {"BaseException", "Exception", "SystemExit"}
+    path = Path(bevalign.__file__).resolve().parent / "cli.py"
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names = {"BaseException" if t is None else getattr(t, "id", None) for t in types}
+                if names & broad:
+                    found.append(f"{func.name}:{node.lineno}")
+    assert found == []
+
+
 def test_knn_is_the_exported_neighbor_search():
     assert "knn" in bevalign.__all__
     assert bevalign.knn is pairing.knn

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevalign.oracles import iou_raster, knn_brute, positive_pairs_greedy
+from bevalign.oracles import iou_scalar as iou
 from bevalign.pairing import (
     Box2D,
     EmptyInputError,
     PairConfig,
     PairSet,
     build_pairs,
-    iou,
+    greedy_match,
     iou_matrix,
     knn,
     positive_pairs,
@@ -31,31 +32,37 @@ pair_boxes = st.one_of(
 )
 
 
+def pair_iou(a: Box2D, b: Box2D) -> float:
+    return float(iou_matrix([a], [b])[0, 0])
+
+
 class TestIou:
+    """iou_matrix, the package's one IoU."""
+
     def test_identical_boxes(self):
         b = Box2D(1.0, 2.0, 3.0, 4.0)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
 
     def test_identical_boxes_with_inexact_half_widths(self):
         # w/2 = 0.05 is inexact in binary; the ratio must still be exactly 1
         b = Box2D(1.0, 0.0, 0.1, 1.0)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
         c = Box2D(-3.7, 2.9, 0.3, 0.7)
-        assert iou(c, c) == 1.0
+        assert pair_iou(c, c) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(Box2D(0, 0, 2, 2), Box2D(10, 0, 2, 2)) == 0.0
+        assert pair_iou(Box2D(0, 0, 2, 2), Box2D(10, 0, 2, 2)) == 0.0
 
     def test_touching_edges_count_as_disjoint(self):
-        assert iou(Box2D(0, 0, 2, 2), Box2D(2, 0, 2, 2)) == 0.0
+        assert pair_iou(Box2D(0, 0, 2, 2), Box2D(2, 0, 2, 2)) == 0.0
 
     def test_half_overlap_value(self):
         # unit shift of a 2x2 box: inter 1*2=2, union 4+4-2=6
-        assert iou(Box2D(0, 0, 2, 2), Box2D(1, 0, 2, 2)) == pytest.approx(1 / 3)
+        assert pair_iou(Box2D(0, 0, 2, 2), Box2D(1, 0, 2, 2)) == pytest.approx(1 / 3)
 
     def test_degenerate_boxes(self):
-        assert iou(Box2D(0, 0, 0, 0), Box2D(0, 0, 0, 0)) == 0.0
-        assert iou(Box2D(0, 0, 0, 2), Box2D(0, 0, 2, 2)) == 0.0
+        assert pair_iou(Box2D(0, 0, 0, 0), Box2D(0, 0, 0, 0)) == 0.0
+        assert pair_iou(Box2D(0, 0, 0, 2), Box2D(0, 0, 2, 2)) == 0.0
 
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError):
@@ -71,8 +78,8 @@ class TestIou:
     @given(a=boxes, b=boxes)
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = pair_iou(a, b)
+        assert v == pair_iou(b, a)
         assert 0.0 <= v <= 1.0
 
     @given(a=boxes, b=boxes)
@@ -82,7 +89,29 @@ class TestIou:
         # be small against the smallest extent (0.01 m alone gives 0.52 for
         # an exact 0.5 on 1 x 0.5 and 1 x 0.25 m boxes)
         cell = min(0.01, min(a.w, a.h, b.w, b.h) / 500)
-        assert abs(iou(a, b) - iou_raster(a, b, cell)) <= 2e-2
+        assert abs(pair_iou(a, b) - iou_raster(a, b, cell)) <= 2e-2
+
+
+class TestGreedyMatch:
+    def test_an_empty_side_matches_nothing(self):
+        assert greedy_match(np.empty((3, 0)), [0, 1, 2]) == []
+        assert greedy_match(np.empty((0, 3)), []) == []
+
+    def test_an_all_minus_inf_row_matches_nothing(self):
+        gain = np.array([[-np.inf, -np.inf], [0.2, 0.5]])
+        assert greedy_match(gain, [0, 1]) == [(1, 1)]
+
+    def test_a_tie_goes_to_the_lower_column(self):
+        assert greedy_match(np.array([[-np.inf, 0.5, 0.5, 0.5]]), [0]) == [(0, 1)]
+
+    def test_a_claimed_column_is_never_reused(self):
+        gain = np.array([[0.9, 0.1], [0.8, -np.inf], [0.7, 0.6]])
+        assert greedy_match(gain, [0, 1, 2]) == [(0, 0), (2, 1)]
+
+    def test_rows_claim_in_the_order_given(self):
+        gain = np.array([[0.9, 0.1], [0.8, 0.2]])
+        assert greedy_match(gain.copy(), [1, 0]) == [(1, 0), (0, 1)]
+        assert greedy_match(gain.copy(), [0, 1]) == [(0, 0), (1, 1)]
 
 
 class TestPositivePairs:

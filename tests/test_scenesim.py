@@ -151,7 +151,7 @@ class TestGenScene:
     def test_correspondence_lists_true_and_rendered_centers(self):
         scene = gen_scene(SMALL, 2)
         corr = scene.correspondence()
-        assert len(corr) == scene.n_objects
+        assert len(corr) == scene.config.n_objects
         for i, row in enumerate(corr):
             assert row["object_id"] == i
             assert row["lidar_center"] == scene.centers[i].tolist()
@@ -185,7 +185,7 @@ class TestPlacement:
         within max_attempts: the rest go to fresh clusters."""
         cfg = SceneConfig()
         scene = gen_scene(cfg, hash64(base_seed, index))
-        assert scene.n_objects == cfg.n_objects == 10
+        assert len(scene.labels) == cfg.n_objects == 10
         assert_placement_invariants(cfg, scene)
 
     def test_clustered_layout_produces_close_neighbors(self):
@@ -823,12 +823,12 @@ def pipeline_for(scene, chosen_camera=None, drop_camera=()):
         Proposal(x, y, 0.0, *d, yaw, 0.9, 0)
         for (x, y), d, yaw in zip(scene.centers.tolist(), dims, scene.yaw.tolist())
     )
-    cam_ids = [i for i in range(scene.n_objects) if i not in drop_camera]
+    cam_ids = [i for i in range(scene.config.n_objects) if i not in drop_camera]
     camera_props = tuple(
         Proposal(*scene.camera_centers[i].tolist(), 0.0, *dims[i], 0.0, 0.9, 0) for i in cam_ids
     )
     entries = []
-    for i in range(scene.n_objects):
+    for i in range(scene.config.n_objects):
         pick = chosen_camera[i] if chosen_camera is not None else None
         if pick is None:
             pick = cam_ids.index(i) if i in cam_ids else None
@@ -857,22 +857,22 @@ class TestEvalAlignment:
         scene = gen_scene(SMALL, 20)
         m = eval_alignment(scene, pipeline_for(scene))
         assert m.recall_at_1 == 1.0
-        assert m.n_lidar_matched == scene.n_objects
+        assert m.n_lidar_matched == scene.config.n_objects
         assert m.center_err_before == 0.0 and m.center_err_after == 0.0
         assert m.positive_pair_count == 0 and m.negative_pair_count == 0
 
     def test_missing_camera_counterpart_counts_as_miss(self):
         scene = gen_scene(SMALL, 20)
         m = eval_alignment(scene, pipeline_for(scene, drop_camera=(0,)))
-        assert m.recall_at_1 == pytest.approx((scene.n_objects - 1) / scene.n_objects)
-        assert m.n_lidar_matched == scene.n_objects
+        assert m.recall_at_1 == pytest.approx((scene.config.n_objects - 1) / scene.config.n_objects)
+        assert m.n_lidar_matched == scene.config.n_objects
 
     def test_wrong_choice_counts_as_miss(self):
         scene = gen_scene(SMALL, 20)
-        chosen = list(range(scene.n_objects))
+        chosen = list(range(scene.config.n_objects))
         chosen[0], chosen[1] = chosen[1], chosen[0]
         m = eval_alignment(scene, pipeline_for(scene, chosen_camera=chosen))
-        assert m.recall_at_1 == pytest.approx((scene.n_objects - 2) / scene.n_objects)
+        assert m.recall_at_1 == pytest.approx((scene.config.n_objects - 2) / scene.config.n_objects)
 
     def test_center_errors_measure_lag_displacement(self):
         scene = gen_scene(SMALL, 21)
@@ -907,7 +907,7 @@ class TestStatisticalBehavior:
             scene = gen_scene(SceneConfig(d_z=4, c_lidar=6, c_camera=6), hash64(55, s))
             centers = scene.camera_centers
             entries = []
-            for i in range(scene.n_objects):
+            for i in range(scene.config.n_objects):
                 neigh = knn_brute(centers, centers[i], 8)
                 pick = int(rng.integers(0, len(neigh)))
                 scores = np.zeros(len(neigh))
