@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -64,6 +65,7 @@ def trials(text: str) -> int:
     return n
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bevalign",

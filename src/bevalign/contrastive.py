@@ -1,4 +1,4 @@
-"""The instance-alignment InfoNCE loss, batched over all pairs with
+"""The instance-alignment InfoNCE loss, evaluated on per-scene blocks with
 closed-form gradients, and a descent trainer for the two per-modality
 projection heads.
 
@@ -9,12 +9,13 @@ The loss for one positive pair (a, c) with negatives b_1..b_K is
 with s either the raw dot product (default) or cosine similarity divided by
 a temperature.  The denominator holds the negatives only; a config flag adds
 the positive term for the canonical variant.  All log-sum-exp evaluations
-are max-shifted.  Training and scoring read a scene's `PipelineOutput` and
-run one batched evaluation in two stages: `_pair_loss`, the mean loss and
-its softmax terms, which `mean_pair_loss` scores with, and `_pair_grad`,
-the embedding gradients, which `train_heads` runs only for the steps it
-takes.  Both are checked against the per-pair reference oracles.info_nce,
-with finite differences for its gradients.
+are max-shifted.  Training and scoring lay each scene's pairs out once in
+blocks and run one batched evaluation in two stages: `_pair_loss` gathers
+each pair's logits from one matmul of all same-scene similarities, which
+`mean_pair_loss` scores with, and `_pair_grad` scatters their softmax
+weights back into the block for matmul gradients, which `train_heads` runs
+only for the steps it takes.  Both are checked against the per-pair
+reference oracles.info_nce, with finite differences for its gradients.
 """
 
 from __future__ import annotations
@@ -120,70 +121,75 @@ class TrainResult:
     n_pairs: int
 
 
-def _flatten_pairs(
-    outputs: list[PipelineOutput],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every trainable positive pair across the scenes' pipeline
-    outputs.  Returns the lidar rows (P, D_L); the camera rows some pair
-    references, each once (N_u, D_C); each pair's positive index into them
-    (P,); a (P, K_max) negative index, padded; and the mask of real
-    negatives.  Pairs with no negatives are skipped."""
-    xl, cam, pos, negs = [], [], [], []
-    n_u = 0
-    for out in outputs:
-        kept = [(i, j, n) for (i, j), n in zip(out.pairs.positives, out.pairs.negatives) if n]
-        rows = sorted({j for _, j, _ in kept}.union(*(n for *_, n in kept)))
-        at = {r: n_u + k for k, r in enumerate(rows)}
-        xl.extend(out.lidar_feats[i] for i, _, _ in kept)
-        cam.append(out.camera_feats[rows])
-        pos.extend(at[j] for _, j, _ in kept)
-        negs.extend([at[b] for b in n] for *_, n in kept)
-        n_u += len(rows)
-    if not xl:
-        raise NoPairsError("no positive pair with at least one negative")
-    k_max = max(map(len, negs))
-    neg = np.asarray([n + [0] * (k_max - len(n)) for n in negs])
-    mask = np.asarray([[True] * len(n) + [False] * (k_max - len(n)) for n in negs])
-    return np.asarray(xl, dtype=np.float64), np.concatenate(cam), np.asarray(pos), neg, mask
-
-
 @dataclass(frozen=True)
 class _Batch:
-    """The per-call constants of the batched loss, built once per training
-    run or scored scene.  Column 0 of idx (P, 1 + K_max) is each pair's positive row in the
-    unique camera embeddings, the rest its negatives; flat_idx holds idx's
-    row * D_e + col offsets for the gradient scatter.  valid marks the
-    logits in the softmax (padding and, unless the positive is in the
-    denominator, column 0 are off) and is None when all of them are;
-    neg_valid marks the real negatives.  scale is the logit scale (None for
-    raw dot products) and grad_scale the d mean / d loss factor scale / P."""
+    """A training run's or scored scene's per-scene block layout, built once.
+    Of the B scenes with a pair that has a negative, scene b owns lidar rows
+    b * P_max + r of xl, one per such pair, and camera rows b * U_max + c of
+    xu, one per row its pairs reference; the rest is zero padding, on which
+    pad_l (B, P_max, 1) and pad_u (B, U_max, 1) are 1.0.  idx (P, 1 + K_max)
+    indexes the flattened (B, P_max, U_max) similarity block: column 0 is
+    each pair's positive, the rest its negatives, padded with the positive.
+    valid marks the logits in the softmax (not padding, nor column 0 unless
+    the positive is in the denominator) and is None when all are; picks
+    (2, P * (1 + K_max)) weighs the positives, then the real negatives, by
+    one over their count.  rows and pos are each pair's lidar and positive
+    camera row.  scale is the logit scale (None for raw dot products) and
+    grad_scale the d mean / d loss factor scale / P."""
 
+    xl: np.ndarray
+    xu: np.ndarray
+    block: tuple[int, int, int]
+    pad_l: np.ndarray
+    pad_u: np.ndarray
     idx: np.ndarray
-    flat_idx: np.ndarray
     valid: np.ndarray | None
-    neg_valid: np.ndarray
-    n_pairs: int
-    n_neg: int
-    grad_size: int
+    picks: np.ndarray
+    rows: np.ndarray
+    pos: np.ndarray
     scale: float | None
     grad_scale: float
 
     @classmethod
-    def build(
-        cls, pos: np.ndarray, neg: np.ndarray, mask: np.ndarray, n_u: int, d_e: int, cfg: LossConfig
-    ) -> "_Batch":
-        p = len(pos)
-        idx = np.concatenate([pos[:, None], neg], axis=1)
+    def build(cls, outputs: list[PipelineOutput], cfg: LossConfig) -> "_Batch":
+        """Lay out the pairs that have a negative; the others are skipped."""
+        pairs = [zip(o.pairs.positives, o.pairs.negatives) for o in outputs]
+        kept = [[(i, j, n) for (i, j), n in ps if n] for ps in pairs]
+        used = [sorted({j for _, j, _ in k}.union(*(n for *_, n in k))) for k in kept]
+        scenes = [(o, k, u) for o, k, u in zip(outputs, kept, used) if k]
+        if not scenes:
+            raise NoPairsError("no positive pair with at least one negative")
+        n_b, p_max, u_max = len(scenes), max(map(len, kept)), max(map(len, used))
+        k_max = max(len(n) for k in kept for *_, n in k)
+        xl = np.zeros((n_b * p_max, scenes[0][0].lidar_feats.shape[1]))
+        xu = np.zeros((n_b * u_max, scenes[0][0].camera_feats.shape[1]))
+        pad_l, pad_u = np.ones((n_b, p_max, 1)), np.ones((n_b, u_max, 1))
+        rows, pos, cols = [], [], []
+        for b, (out, k, u) in enumerate(scenes):
+            at = {c: col for col, c in enumerate(u)}
+            xl[b * p_max : b * p_max + len(k)] = out.lidar_feats[[i for i, _, _ in k]]
+            xu[b * u_max : b * u_max + len(u)] = out.camera_feats[u]
+            pad_l[b, : len(k)] = pad_u[b, : len(u)] = 0.0
+            rows.extend(range(b * p_max, b * p_max + len(k)))
+            pos.extend(b * u_max + at[j] for _, j, _ in k)
+            cols.extend([at[j], *map(at.get, n)] + [at[j]] * (k_max - len(n)) for _, j, n in k)
+        rows, cols, p = np.asarray(rows), np.asarray(cols), len(rows)
+        mask = cols[:, 1:] != cols[:, :1]  # a PairSet never lists the positive as a negative
         valid = np.concatenate([np.full((p, 1), cfg.include_positive_in_denominator), mask], axis=1)
+        picks = np.zeros((2, p, 1 + k_max))
+        picks[0, :, 0], picks[1, :, 1:] = 1.0 / p, mask / mask.sum()
         scale = 1.0 / cfg.temperature if cfg.mode == "cosine" else None
         return cls(
-            idx=idx,
-            flat_idx=(idx[:, :, None] * d_e + np.arange(d_e)).ravel(),
+            xl=xl,
+            xu=xu,
+            block=(n_b, p_max, u_max),
+            pad_l=pad_l,
+            pad_u=pad_u,
+            idx=rows[:, None] * u_max + cols,
             valid=None if valid.all() else valid,
-            neg_valid=mask,
-            n_pairs=p,
-            n_neg=int(mask.sum()),
-            grad_size=n_u * d_e,
+            picks=picks.reshape(2, -1),
+            rows=rows,
+            pos=np.asarray(pos),
             scale=scale,
             grad_scale=(1.0 if scale is None else scale) / p,
         )
@@ -191,9 +197,9 @@ class _Batch:
 
 class _Scores(NamedTuple):
     """The loss stage's result: the mean loss, the similarities s (P, 1 + K_max;
-    column 0 the positive), the max-shifted softmax terms ex and their row
-    sums, the embeddings a and c (unit rows, with norms na and nu, in cosine
-    mode; na and nu are None in dot mode) and the rows ec of c each pair uses."""
+    column 0 the positive) gathered from the block, the max-shifted softmax
+    terms ex and their row sums, and the embedding blocks a and c (unit rows,
+    with norms na and nu, in cosine mode; na and nu are None in dot mode)."""
 
     loss: float
     s: np.ndarray
@@ -201,52 +207,52 @@ class _Scores(NamedTuple):
     total: np.ndarray
     a: np.ndarray
     c: np.ndarray
-    ec: np.ndarray
     na: np.ndarray | None
     nu: np.ndarray | None
 
 
-def _pair_loss(el: np.ndarray, eu: np.ndarray, batch: _Batch, cfg: LossConfig) -> _Scores:
-    """The loss stage: the mean loss over all pairs in one batch, with the
-    terms the gradient stage consumes.  el holds the lidar embeddings
-    (P, D_e) and eu the unique camera embeddings (N_u, D_e)."""
+def _pair_loss(wl: np.ndarray, wc: np.ndarray, batch: _Batch, cfg: LossConfig) -> _Scores:
+    """The loss stage: the mean loss over all pairs in one batch under head
+    weights wl and wc, with the terms the gradient stage consumes."""
+    n_b, p_max, u_max = batch.block
+    el = (batch.xl @ wl).reshape(n_b, p_max, -1)
+    eu = (batch.xu @ wc).reshape(n_b, u_max, -1)
     na = nu = None
     if cfg.mode == "cosine":
-        na = np.linalg.norm(el, axis=1)[:, None]
-        nu = np.linalg.norm(eu, axis=1)[:, None]
+        # Padding rows read norm 1, so they pass the zero check and stay zero.
+        na = np.linalg.norm(el, axis=2, keepdims=True) + batch.pad_l
+        nu = np.linalg.norm(eu, axis=2, keepdims=True) + batch.pad_u
         if na.min() < ZERO_NORM_EPS or nu.min() < ZERO_NORM_EPS:
             raise ZeroVectorError("cosine similarity of a zero vector")
         a, c = el / na, eu / nu
     else:
         a, c = el, eu
-    ec = np.take(c, batch.idx, axis=0)
-    s = np.einsum("pd,pkd->pk", a, ec)
+    s = (a @ c.transpose(0, 2, 1)).take(batch.idx)
     if batch.scale is not None:
         s *= batch.scale
     logits = s if batch.valid is None else np.where(batch.valid, s, -np.inf)
-    m = logits.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
     ex = np.exp(logits - m)
-    total = ex.sum(axis=1, keepdims=True)
+    total = np.add.reduce(ex, axis=1, keepdims=True)
     losses = -s[:, 0] + m[:, 0] + np.log(total[:, 0])
     # np.add.reduce(x) / n is what ndarray.mean computes, without its overhead
-    return _Scores(float(np.add.reduce(losses) / batch.n_pairs), s, ex, total, a, c, ec, na, nu)
+    return _Scores(float(np.add.reduce(losses) / len(batch.rows)), s, ex, total, a, c, na, nu)
 
 
 def _pair_grad(sc: _Scores, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient stage: d mean loss / d embeddings, (dEL, dEU), from the
-    loss stage's terms."""
+    """The gradient stage: d mean loss / d head weights, (dWL, dWC), from
+    the loss stage's terms."""
     # d loss / d s: softmax weight, minus one on the positive.
     w = sc.ex / sc.total
     w[:, 0] -= 1.0
     w *= batch.grad_scale
-    da = np.einsum("pk,pkd->pd", w, sc.ec)
-    dc = np.bincount(
-        batch.flat_idx, weights=np.einsum("pk,pd->pkd", w, sc.a).ravel(), minlength=batch.grad_size
-    ).reshape(sc.c.shape)
+    g = np.bincount(batch.idx.ravel(), weights=w.ravel(), minlength=math.prod(batch.block))
+    g = g.reshape(batch.block)
+    da, dc = g @ sc.c, g.transpose(0, 2, 1) @ sc.a
     if sc.na is not None:
-        da = (da - sc.a * np.einsum("pd,pd->p", sc.a, da)[:, None]) / sc.na
-        dc = (dc - sc.c * np.einsum("pd,pd->p", sc.c, dc)[:, None]) / sc.nu
-    return da, dc
+        da = (da - sc.a * np.einsum("bpd,bpd->bp", sc.a, da)[..., None]) / sc.na
+        dc = (dc - sc.c * np.einsum("bud,bud->bu", sc.c, dc)[..., None]) / sc.nu
+    return batch.xl.T @ da.reshape(len(batch.xl), -1), batch.xu.T @ dc.reshape(len(batch.xu), -1)
 
 
 def mean_pair_loss(
@@ -260,9 +266,8 @@ def mean_pair_loss(
     when the scene yielded no pair with a negative."""
     if output.pairs is None or not any(output.pairs.negatives):
         return 0.0
-    xl, xu, pos, neg, mask = _flatten_pairs([output])
-    batch = _Batch.build(pos, neg, mask, len(xu), head_l.d_e, loss_cfg)
-    return _pair_loss(xl @ head_l.weights, xu @ head_c.weights, batch, loss_cfg).loss
+    batch = _Batch.build([output], loss_cfg)
+    return _pair_loss(head_l.weights, head_c.weights, batch, loss_cfg).loss
 
 
 def train_heads(outputs: list[PipelineOutput], cfg: TrainConfig) -> TrainResult:
@@ -276,36 +281,31 @@ def train_heads(outputs: list[PipelineOutput], cfg: TrainConfig) -> TrainResult:
     weights a step was taken to.  The loss trace has length steps + 1;
     entry 0 is the loss at the seeded initialization and entry t the loss
     after t updates.  Deterministic for a fixed (outputs, cfg)."""
-    xl, xu, pos, neg, mask = _flatten_pairs(outputs)
-    batch = _Batch.build(pos, neg, mask, len(xu), cfg.d_e, cfg.loss)
-    head_l, head_c = init_heads(xl.shape[1], cfg.d_e, cfg.seed, xu.shape[1])
+    batch = _Batch.build(outputs, cfg.loss)
+    head_l, head_c = init_heads(batch.xl.shape[1], cfg.d_e, cfg.seed, batch.xu.shape[1])
     wl = head_l.weights.copy()
     wc = head_c.weights.copy()
 
     def sq_dists(wl_: np.ndarray, wc_: np.ndarray) -> float:
-        d = xl @ wl_ - (xu @ wc_)[pos]
+        d = batch.xl[batch.rows] @ wl_ - batch.xu[batch.pos] @ wc_
         return float(np.mean(np.einsum("pd,pd->p", d, d)))
 
     dist_before = sq_dists(wl, wc)
     trace = np.empty(cfg.steps + 1)
-    pos_trace = np.empty(cfg.steps + 1)
-    neg_trace = np.empty(cfg.steps + 1)
-    xlt, xut = xl.T, xu.T
-    sc = _pair_loss(xl @ wl, xu @ wc, batch, cfg.loss)
+    sims = np.empty((2, cfg.steps + 1))  # mean positive, mean real negative similarity
+    sc = _pair_loss(wl, wc, batch, cfg.loss)
     for step in range(cfg.steps + 1):
         trace[step] = sc.loss
-        pos_trace[step] = np.add.reduce(sc.s[:, 0]) / batch.n_pairs
-        neg_trace[step] = np.add.reduce(sc.s[:, 1:] * batch.neg_valid, axis=None) / batch.n_neg
+        np.matmul(batch.picks, sc.s.ravel(), out=sims[:, step])
         if step == cfg.steps:
             break
-        del_, deu = _pair_grad(sc, batch)
-        gl, gc = xlt @ del_, xut @ deu
+        gl, gc = _pair_grad(sc, batch)
         eta = cfg.step_size
         while True:
             # Once eta * g underflows, the step changes no weight and its loss
             # equals the current one, so a finite loss and gradient end this.
             new_wl, new_wc = wl - eta * gl, wc - eta * gc
-            proposed = _pair_loss(xl @ new_wl, xu @ new_wc, batch, cfg.loss)
+            proposed = _pair_loss(new_wl, new_wc, batch, cfg.loss)
             if math.isfinite(proposed.loss) and proposed.loss <= sc.loss:
                 break
             if not (math.isfinite(sc.loss) and np.isfinite(gl).all() and np.isfinite(gc).all()):
@@ -318,11 +318,11 @@ def train_heads(outputs: list[PipelineOutput], cfg: TrainConfig) -> TrainResult:
         head_lidar=ProjectionHead(wl),
         head_camera=ProjectionHead(wc),
         loss_trace=trace,
-        pos_sim_trace=pos_trace,
-        neg_sim_trace=neg_trace,
+        pos_sim_trace=sims[0],
+        neg_sim_trace=sims[1],
         mean_sq_dist_before=dist_before,
         mean_sq_dist_after=sq_dists(wl, wc),
-        n_pairs=int(xl.shape[0]),
+        n_pairs=len(batch.rows),
     )
 
 

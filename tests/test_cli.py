@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bevalign
-from bevalign.cli import main
+from bevalign.cli import _build_parser, main
 from bevalign.grid import load_feature_map
 from bevalign.scenesim import (
     SceneConfig,
@@ -421,6 +421,32 @@ class TestAlignCommand:
         code = main(["align", "--bundle", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "runtime failure" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(cfg_file, tmp_path, capsys):
+    """main builds its parser once per process, and a call that parsed,
+    failed to parse or printed help leaves nothing behind for the next."""
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    assert main(["gen-scene", "--out", str(bundle), "--seed", "3", "--config", str(cfg_file)]) == 0
+    capsys.readouterr()
+    calls = (
+        ["align", "--bundle", str(bundle), "--out", str(out), "--config", str(cfg_file)],
+        ["oracle", "--kind", "voxel"],
+        ["--help"],
+    )
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    separately = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        separately.append(run(argv))
+    together = [run(argv) for argv in calls]
+    assert [code for code, _ in separately] == [0, 2, 0]
+    assert together == separately
+    assert _build_parser.cache_info().misses == 1
 
 
 # Every command that reads --config, with the arguments it needs besides it.

@@ -14,6 +14,9 @@ from bevalign.contrastive import (
     ProjectionHead,
     TrainConfig,
     ZeroVectorError,
+    _Batch,
+    _pair_grad,
+    _pair_loss,
     init_heads,
     train_heads,
     write_loss_trace_csv,
@@ -246,6 +249,31 @@ def ragged_scenes(draw):
     return scenes
 
 
+@st.composite
+def skewed_scenes(draw):
+    """2-4 scenes of 1 to 12 pairs each over 2 to 14 camera rows, with their
+    own lidar and camera widths and ragged negative lists, so that most
+    scenes are padded to the largest pair and camera-row counts.  A pair may
+    have no negative, except the first pair of the first scene."""
+    d_l, d_c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenes = []
+    for b in range(draw(st.integers(2, 4))):
+        n_p, n_c = draw(st.integers(1, 12)), draw(st.integers(2, 14))
+        positives, negatives = [], []
+        for i in range(n_p):
+            j = draw(st.integers(0, n_c - 1))
+            others = st.sampled_from([c for c in range(n_c) if c != j])
+            min_k = 1 if b == i == 0 else 0
+            negatives.append(tuple(draw(st.lists(others, min_size=min_k, max_size=6, unique=True))))
+            positives.append((i, j))
+        pairs = PairSet(tuple(positives), tuple(negatives))
+        scenes.append(
+            material(rng.standard_normal((n_p, d_l)), rng.standard_normal((n_c, d_c)), pairs)
+        )
+    return scenes
+
+
 def reference_train(scenes, cfg):
     """Per-pair loop trainer used as an independent route: same math and
     step rule as train_heads (a step whose loss is not finite or rises is
@@ -322,6 +350,65 @@ class TestTrainHeads:
         np.testing.assert_allclose(result.loss_trace, trace, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.head_lidar.weights, wl, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.head_camera.weights, wc, rtol=0, atol=1e-12)
+
+    @given(scenes=skewed_scenes(), loss=st.sampled_from(ALL_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_skewed_scenes(self, scenes, loss):
+        """The similarity traces, too, match oracles.info_nce's, at the
+        initial and at the final heads."""
+        cfg = TrainConfig(steps=3, step_size=0.05, d_e=3, seed=5, loss=loss)
+        result = train_heads(scenes, cfg)
+        wl, wc, trace = reference_train(scenes, cfg)
+        np.testing.assert_allclose(result.loss_trace, trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.head_lidar.weights, wl, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.head_camera.weights, wc, rtol=0, atol=1e-12)
+        initial = init_heads(result.head_lidar.d_in, 3, 5, result.head_camera.d_in)
+        for t, (hl, hc) in ((0, initial), (-1, (result.head_lidar, result.head_camera))):
+            reps = [
+                info_nce(
+                    hl.project(sp.lidar_feats[i]),
+                    hc.project(sp.camera_feats[j]),
+                    hc.project(sp.camera_feats[list(negs)]),
+                    loss,
+                )
+                for sp in scenes
+                for (i, j), negs in zip(sp.pairs.positives, sp.pairs.negatives)
+                if negs
+            ]
+            pos = np.mean([r.pos_sim for r in reps])
+            neg = np.mean(np.concatenate([r.neg_sims for r in reps]))
+            assert result.pos_sim_trace[t] == pytest.approx(pos, rel=0, abs=1e-12)
+            assert result.neg_sim_trace[t] == pytest.approx(neg, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("loss", ALL_CONFIGS)
+    def test_padding_leaves_other_scenes_unchanged(self, loss):
+        """A camera row no pair references is not laid out, and a larger
+        scene, which pads the others, adds its own pairs' loss and gradient
+        and nothing else: the batched sums are the per-scene ones."""
+        small = make_scene_pairs(n=3, d=5, k=2, seed=3, ragged=True)
+        large = make_scene_pairs(n=9, d=5, k=4, seed=4, ragged=True)
+        wl, wc = (head.weights for head in init_heads(5, 4, seed=6))
+
+        def evaluate(scenes):
+            batch = _Batch.build(scenes, loss)
+            sc = _pair_loss(wl, wc, batch, loss)
+            return sc, _pair_grad(sc, batch), len(batch.rows)
+
+        sc, (gl, gc), p = evaluate([small])
+        extra = np.vstack([small.camera_feats, np.zeros((1, 5))])
+        sc_x, (gl_x, gc_x), _ = evaluate([material(small.lidar_feats, extra, small.pairs)])
+        assert sc.loss == sc_x.loss
+        assert np.array_equal(gl, gl_x) and np.array_equal(gc, gc_x)
+
+        sc_l, (gl_l, gc_l), p_l = evaluate([large])
+        sc_b, (gl_b, gc_b), p_b = evaluate([small, large])
+        assert p_b == p + p_l
+        k = sc.s.shape[1]  # the small scene's pairs gain padded negatives
+        np.testing.assert_allclose(sc_b.s[:p, :k], sc.s, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(sc_b.s[p:], sc_l.s, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(p_b * sc_b.loss, p * sc.loss + p_l * sc_l.loss, rtol=1e-13)
+        np.testing.assert_allclose(p_b * gl_b, p * gl + p_l * gl_l, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(p_b * gc_b, p * gc + p_l * gc_l, rtol=1e-12, atol=1e-14)
 
     def test_cosine_zero_rows(self):
         """Only a zero row that some pair references is an error."""

@@ -35,18 +35,18 @@ ALIGN_OUTPUTS = (
 # with the positive in the softmax denominator.
 ALIGN_DIGESTS = {
     "default": {
-        "alignment.json": "18649ae3aef44b41",
+        "alignment.json": "af4c164caf512f1c",
         "lidar_proposals.json": "37e35096ebf77a2c",
         "camera_proposals.json": "aba6617ff34b92a1",
-        "loss_trace.csv": "88ee55a146da9acb",
+        "loss_trace.csv": "0bce31e68d116da2",
         "fused": "3a33628c0ba1053b",
         "fused.json": "070a5167802475ce",
     },
     "canonical": {
-        "alignment.json": "aaca81838881d93d",
+        "alignment.json": "9151c9276d8f2633",
         "lidar_proposals.json": "37e35096ebf77a2c",
         "camera_proposals.json": "aba6617ff34b92a1",
-        "loss_trace.csv": "d07c417c489cb399",
+        "loss_trace.csv": "299f99e4926be977",
         "fused": "9a37015b7fad531a",
         "fused.json": "070a5167802475ce",
     },
@@ -63,14 +63,14 @@ BUNDLE_DIGESTS = {
 # sha256 over the three traces and both heads' weights, first 16 hex digits,
 # keyed by (mode, include_positive_in_denominator, ragged).
 TRAIN_DIGESTS = {
-    ("dot", False, False): "23cdd07e35be3748",
-    ("dot", False, True): "03f3ee0ac4da0ef6",
-    ("dot", True, False): "66531aceee531025",
-    ("dot", True, True): "670197fc9de19b04",
-    ("cosine", False, False): "d13c57ae979e0ac2",
-    ("cosine", False, True): "42837519c0203c32",
-    ("cosine", True, False): "179bff3b2661bf05",
-    ("cosine", True, True): "13f2a78ee86a3d66",
+    ("dot", False, False): "64e899e556ee97fe",
+    ("dot", False, True): "ed95a0576cdcd8de",
+    ("dot", True, False): "1eb209fa46344f0a",
+    ("dot", True, True): "4b7a477e8d6e625e",
+    ("cosine", False, False): "c7f043daac1d386d",
+    ("cosine", False, True): "e98c87c9c5e67927",
+    ("cosine", True, False): "ed71778f504ec8b7",
+    ("cosine", True, True): "541ac9bfc0ad328f",
 }
 
 
