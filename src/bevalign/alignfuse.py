@@ -90,7 +90,7 @@ class PipelineOutput:
     their read-only (N, 5*C) RoI feature matrices (row i for proposal i),
     the contrastive pairs found on this scene, and, once the scene is
     evaluated, the alignment verdicts and their mean loss under the heads
-    that did the aligning."""
+    that did the aligning (None when no heads aligned)."""
 
     lidar_proposals: tuple[Proposal, ...]
     lidar_feats: np.ndarray
@@ -98,15 +98,13 @@ class PipelineOutput:
     camera_feats: np.ndarray
     alignment: AlignmentResult | None = None
     pairs: PairSet | None = None
-    mean_loss: float = 0.0
+    mean_loss: float | None = None
 
 
 def align_instances(
     pipe: PipelineOutput,
-    head_lidar: ProjectionHead,
-    head_camera: ProjectionHead,
+    heads: tuple[ProjectionHead, ProjectionHead] | None,
     cfg: AlignConfig = AlignConfig(),
-    nearest: bool = False,
 ) -> AlignmentResult:
     """Scene-level alignment of pipe's detections: the candidate set for each
     LiDAR instance is its k nearest camera instances by center position
@@ -114,11 +112,11 @@ def align_instances(
     no camera detections at all pass through with chosen_rank=None.  Indices
     are rows of the feature matrices, i.e. proposal positions.
 
-    Each modality is projected once and all (instance, candidate) scores
-    come from one gathered (N_L, K, D_e) product, so the scores equal the
-    per-candidate oracle `oracles.align`'s up to float summation order.
-    nearest=True is the no-learning baseline: it keeps the closest
-    neighbor and ignores the heads."""
+    heads is the (lidar, camera) head pair.  Each modality is projected once
+    and all (instance, candidate) scores come from one gathered (N_L, K, D_e)
+    product, so the scores equal the per-candidate oracle `oracles.align`'s
+    up to float summation order.  heads=None is the no-learning baseline: it
+    keeps the closest neighbor, scored by minus its squared distance."""
     n_lidar = len(pipe.lidar_proposals)
     if not (n_lidar and pipe.camera_proposals):
         return AlignmentResult(
@@ -127,15 +125,15 @@ def align_instances(
     lidar_xy = np.array([(p.cx, p.cy) for p in pipe.lidar_proposals])
     camera_xy = np.array([(p.cx, p.cy) for p in pipe.camera_proposals])
     near = knn(camera_xy, lidar_xy, cfg.k_neighbors)
-    if nearest:
+    if heads is None:
         # rank order is already nearest-first; score by closeness so the
         # argmax invariant still holds
         d = camera_xy[near] - lidar_xy[:, None, :]
         scores = -(d[..., 0] ** 2 + d[..., 1] ** 2)
         chosen = np.zeros(n_lidar, dtype=np.int64)
     else:
-        el = head_lidar.project(pipe.lidar_feats)
-        ec = head_camera.project(pipe.camera_feats)
+        el = heads[0].project(pipe.lidar_feats)
+        ec = heads[1].project(pipe.camera_feats)
         scores = np.einsum("ld,lkd->lk", el, ec[near])
         if cfg.metric == "cosine":
             nl = np.linalg.norm(el, axis=1)

@@ -185,7 +185,7 @@ def _cmd_align(args) -> int:
         print("align: no positive pairs found in bundle", file=sys.stderr)
         return 3
     result = train_heads([pipe], cfg.train)
-    alignment = align_instances(pipe, result.head_lidar, result.head_camera, cfg.align)
+    alignment = align_instances(pipe, (result.head_lidar, result.head_camera), cfg.align)
     fused = fuse(
         scene.lidar_feat, scene.camera_feat, alignment, pipe.lidar_proposals, pipe.camera_feats
     )

@@ -2,20 +2,22 @@
 closed-form gradients, and a descent trainer for the two per-modality
 projection heads.
 
-The loss for one positive pair (a, c) with negatives b_1..b_K is
+The loss for one positive pair (a, c) with negatives b_1..b_K is the
+InfoNCE of van den Oord et al.
 
-    L = -s(a, c) + logsumexp_i s(a, b_i)
+    L = -s(a, c) + logsumexp(s(a, c), s(a, b_1), ..., s(a, b_K))
 
 with s either the raw dot product (default) or cosine similarity divided by
-a temperature.  The denominator holds the negatives only; a config flag adds
-the positive term for the canonical variant.  All log-sum-exp evaluations
-are max-shifted.  Training and scoring lay each scene's pairs out once in
-blocks and run one batched evaluation in two stages: `_pair_loss` gathers
-each pair's logits from one matmul of all same-scene similarities, which
-`mean_pair_loss` scores with, and `_pair_grad` scatters their softmax
-weights back into the block for matmul gradients, which `train_heads` runs
-only for the steps it takes.  Both are checked against the per-pair
-reference oracles.info_nce, with finite differences for its gradients.
+a temperature.  Its denominator holds the positive, so L >= 0; a config flag
+drops that term, leaving a negatives-only form that is unbounded below.  All
+log-sum-exp evaluations are max-shifted.  Training and scoring lay each
+scene's pairs out once in blocks and run one batched evaluation in two
+stages: `_pair_loss` gathers each pair's logits from one matmul of all
+same-scene similarities, which `mean_pair_loss` scores with, and
+`_pair_grad` scatters their softmax weights back into the block for matmul
+gradients, which `train_heads` runs only for the steps it takes.  Both are
+checked against the per-pair reference oracles.info_nce, with finite
+differences for its gradients.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ class NoPairsError(ValueError):
 @dataclass(frozen=True)
 class LossConfig:
     """mode "dot" scores with raw dot products; "cosine" with
-    cos(a, b) / temperature.  include_positive_in_denominator switches to
-    the canonical softmax over {positive} + negatives."""
+    cos(a, b) / temperature.  include_positive_in_denominator keeps the
+    canonical softmax over {positive} + negatives; False puts the negatives
+    only in the denominator."""
 
     mode: Literal["dot", "cosine"] = "dot"
     temperature: float = field(default=0.07, metadata={"gt": 0})
-    include_positive_in_denominator: bool = False
+    include_positive_in_denominator: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -197,12 +200,14 @@ class _Batch:
 
 class _Scores(NamedTuple):
     """The loss stage's result: the mean loss, the similarities s (P, 1 + K_max;
-    column 0 the positive) gathered from the block, the max-shifted softmax
-    terms ex and their row sums, and the embedding blocks a and c (unit rows,
-    with norms na and nu, in cosine mode; na and nu are None in dot mode)."""
+    column 0 the positive) gathered from the block and sims, their mean
+    positive and mean real negative, the max-shifted softmax terms ex and
+    their row sums, and the embedding blocks a and c (unit rows, with norms
+    na and nu, in cosine mode; na and nu are None in dot mode)."""
 
     loss: float
     s: np.ndarray
+    sims: np.ndarray
     ex: np.ndarray
     total: np.ndarray
     a: np.ndarray
@@ -211,6 +216,9 @@ class _Scores(NamedTuple):
     nu: np.ndarray | None
 
 
+# Overflowing similarities make a non-finite loss, which the callers act on:
+# train_heads raises FloatingPointError, mean_pair_loss reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_loss(wl: np.ndarray, wc: np.ndarray, batch: _Batch, cfg: LossConfig) -> _Scores:
     """The loss stage: the mean loss over all pairs in one batch under head
     weights wl and wc, with the terms the gradient stage consumes."""
@@ -236,7 +244,8 @@ def _pair_loss(wl: np.ndarray, wc: np.ndarray, batch: _Batch, cfg: LossConfig) -
     total = np.add.reduce(ex, axis=1, keepdims=True)
     losses = -s[:, 0] + m[:, 0] + np.log(total[:, 0])
     # np.add.reduce(x) / n is what ndarray.mean computes, without its overhead
-    return _Scores(float(np.add.reduce(losses) / len(batch.rows)), s, ex, total, a, c, na, nu)
+    loss = float(np.add.reduce(losses) / len(batch.rows))
+    return _Scores(loss, s, batch.picks @ s.ravel(), ex, total, a, c, na, nu)
 
 
 def _pair_grad(sc: _Scores, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +304,7 @@ def train_heads(outputs: list[PipelineOutput], cfg: TrainConfig) -> TrainResult:
     sims = np.empty((2, cfg.steps + 1))  # mean positive, mean real negative similarity
     sc = _pair_loss(wl, wc, batch, cfg.loss)
     for step in range(cfg.steps + 1):
-        trace[step] = sc.loss
-        np.matmul(batch.picks, sc.s.ravel(), out=sims[:, step])
+        trace[step], sims[:, step] = sc.loss, sc.sims
         if step == cfg.steps:
             break
         gl, gc = _pair_grad(sc, batch)

@@ -1,6 +1,8 @@
 """End-to-end experiment harness: parse a JSON config, train projection
-heads on clean scenes, evaluate three alignment variants across a noise
-grid on held-out scenes, and emit report.json plus metrics.csv.
+heads on clean scenes, evaluate the two alignment variants the paper
+compares (`naive`: the nearest camera instance, no learning; `trained`: the
+trained heads' best match) across a noise grid on held-out scenes, and emit
+report.json plus metrics.csv.
 
 Scene split: even scene indices train, odd evaluate.  When the config has
 so few scenes that the eval split is empty, evaluation falls back to the
@@ -30,7 +32,6 @@ from .contrastive import (
     ProjectionHead,
     TrainConfig,
     TrainResult,
-    init_heads,
     mean_pair_loss,
     train_heads,
     write_loss_trace_csv,
@@ -50,7 +51,7 @@ from .scenesim import (
     hash64,
 )
 
-VARIANTS = ("naive", "untrained", "trained")
+VARIANTS = ("naive", "trained")
 
 
 @dataclass(frozen=True)
@@ -145,22 +146,16 @@ def run_scene_pipeline(scene: Scene, cfg: ExperimentConfig) -> PipelineOutput:
 def evaluate_scene(
     scene: Scene,
     pipe: PipelineOutput,
-    heads: dict[str, tuple[ProjectionHead, ProjectionHead]],
+    heads: tuple[ProjectionHead, ProjectionHead],
     cfg: ExperimentConfig,
 ) -> dict[str, Metrics]:
     """Metrics for each variant on one (possibly noisy) scene, whose
-    pipeline output is pipe."""
+    pipeline output is pipe: naive aligns without heads and has no loss,
+    trained aligns with, and is scored under, the trained heads."""
     out: dict[str, Metrics] = {}
-    # Variants may share a head pair ("naive" reuses "untrained"); its loss is
-    # computed once.
-    losses: dict[tuple[int, int], float] = {}
-    for variant in VARIANTS:
-        head_l, head_c = heads[variant]
-        key = (id(head_l), id(head_c))
-        if key not in losses:
-            losses[key] = mean_pair_loss(pipe, head_l, head_c, cfg.train.loss)
-        alignment = align_instances(pipe, head_l, head_c, cfg.align, nearest=variant == "naive")
-        output = replace(pipe, alignment=alignment, mean_loss=losses[key])
+    for variant, pair in zip(VARIANTS, (None, heads)):
+        loss = None if pair is None else mean_pair_loss(pipe, *pair, cfg.train.loss)
+        output = replace(pipe, alignment=align_instances(pipe, pair, cfg.align), mean_loss=loss)
         out[variant] = eval_alignment(scene, output)
     return out
 
@@ -173,7 +168,7 @@ def _aggregate(per_scene: list[Metrics]) -> dict:
     return {
         "recall_at_1": float(np.mean(recalls)),
         "recall_at_1_std": float(np.std(recalls)),
-        "mean_loss": float(np.mean(losses)),
+        "mean_loss": None if None in losses else float(np.mean(losses)),
         "center_err_before": float(np.mean(before)),
         "center_err_after": float(np.mean(after)),
         "n_pos": int(sum(m.positive_pair_count for m in per_scene)),
@@ -196,7 +191,7 @@ class RunReport:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     """Train once on the clean train split, then sweep the noise grid over
-    the eval split for all three variants."""
+    the eval split for both variants."""
     t0 = time.perf_counter()
     seeds = [hash64(cfg.base_seed, i) for i in range(cfg.n_scenes)]
     train_idx = [i for i in range(cfg.n_scenes) if i % 2 == 0]
@@ -212,13 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, TrainResult]:
     pipes = (run_scene_pipeline(gen_scene(cfg.scene, seeds[i]), cfg) for i in train_idx)
     result = train_heads([p for p in pipes if p.pairs and p.pairs.positives], cfg.train)
 
-    heads = {
-        "trained": (result.head_lidar, result.head_camera),
-        "untrained": init_heads(
-            result.head_lidar.d_in, cfg.train.d_e, cfg.train.seed, result.head_camera.d_in
-        ),
-    }
-    heads["naive"] = heads["untrained"]
+    heads = (result.head_lidar, result.head_camera)
 
     def eval_noisy(scene: Scene, spec: NoiseSpec) -> dict[str, Metrics]:
         noisy = apply_noise(scene, spec)
@@ -269,13 +258,17 @@ CSV_COLUMNS = (
 
 def metrics_csv(report: RunReport) -> str:
     """Fixed-column CSV; float fields use shortest round-trip repr so two
-    identical runs emit identical bytes."""
+    identical runs emit identical bytes, and a missing value (naive's
+    mean_loss) is an empty field."""
     lines = [",".join(CSV_COLUMNS)]
     for point in report.noise_points:
         noise = [repr(float(point["noise"][axis])) for axis in NOISE_AXES]
         for variant in VARIANTS:
-            agg = [repr(point["variants"][variant][c]) for c in CSV_COLUMNS[len(NOISE_AXES) + 1 :]]
-            lines.append(",".join([*noise, variant, *agg]))
+            agg = point["variants"][variant]
+            cells = [
+                "" if agg[c] is None else repr(agg[c]) for c in CSV_COLUMNS[len(NOISE_AXES) + 1 :]
+            ]
+            lines.append(",".join([*noise, variant, *cells]))
     return "\n".join(lines) + "\n"
 
 

@@ -411,8 +411,8 @@ def gradcheck_info_nce(
     worst = 0.0
     worst_detail: dict | None = None
     configs = (
-        LossConfig(mode="dot"),
-        LossConfig(mode="cosine", temperature=0.07),
+        LossConfig(mode="dot", include_positive_in_denominator=False),
+        LossConfig(mode="cosine", temperature=0.07, include_positive_in_denominator=False),
         LossConfig(mode="dot", include_positive_in_denominator=True),
         LossConfig(mode="cosine", temperature=0.07, include_positive_in_denominator=True),
     )

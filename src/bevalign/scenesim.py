@@ -532,7 +532,7 @@ def apply_noise(scene: Scene, spec: NoiseSpec) -> Scene:
 @dataclass(frozen=True)
 class Metrics:
     recall_at_1: float
-    mean_align_loss: float
+    mean_align_loss: float | None
     center_err_before: float
     center_err_after: float
     positive_pair_count: int

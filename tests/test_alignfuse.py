@@ -117,7 +117,7 @@ class TestAlignInstances:
         pipe = scene_output(random_insts(6, 1), random_insts(9, 2))
         cam_xy = centers(pipe.camera_proposals)
         for k in (1, 3, 20):
-            result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=k))
+            result = align_instances(pipe, EYE_HEADS, AlignConfig(k_neighbors=k))
             for i, (xy, entry) in enumerate(zip(centers(pipe.lidar_proposals), result.entries)):
                 assert entry.lidar_index == i
                 assert entry.neighbor_indices == tuple(knn_brute(cam_xy, xy, min(k, 9)))
@@ -126,11 +126,11 @@ class TestAlignInstances:
     def test_distance_ties_prefer_lower_camera_index(self):
         v = np.ones(D)
         pipe = scene_output([(0.0, 0.0, v)], [(1.0, 0.0, v), (-1.0, 0.0, v), (0.0, 3.0, v)])
-        result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=2))
+        result = align_instances(pipe, EYE_HEADS, AlignConfig(k_neighbors=2))
         assert result.entries[0].neighbor_indices == (0, 1)
 
     def test_empty_camera_scene_passes_through(self):
-        result = align_instances(scene_output(random_insts(3, 3), []), *EYE_HEADS)
+        result = align_instances(scene_output(random_insts(3, 3), []), EYE_HEADS)
         assert [e.lidar_index for e in result.entries] == [0, 1, 2]
         assert all(e.chosen_rank is None for e in result.entries)
         assert all(e.chosen_camera_index is None for e in result.entries)
@@ -138,7 +138,7 @@ class TestAlignInstances:
 
     def test_nearest_variant_keeps_rank_zero_with_distance_scores(self):
         pipe = scene_output(random_insts(4, 4), random_insts(6, 5))
-        result = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=3), nearest=True)
+        result = align_instances(pipe, None, AlignConfig(k_neighbors=3))
         cam_xy = centers(pipe.camera_proposals)
         for xy, entry in zip(centers(pipe.lidar_proposals), result.entries):
             assert entry.chosen_rank == 0
@@ -154,31 +154,31 @@ class TestAlignInstances:
         u = np.zeros(D)
         u[0] = u[1] = 1.0 / np.sqrt(2.0)
         pipe = scene_output([(0.0, 0.0, v)], [(1.0, 0.0, 0.1 * v), (2.0, 0.0, 100.0 * u)])
-        dot = align_instances(pipe, *EYE_HEADS, AlignConfig(metric="dot"))
-        cos = align_instances(pipe, *EYE_HEADS, AlignConfig(metric="cosine"))
+        dot = align_instances(pipe, EYE_HEADS, AlignConfig(metric="dot"))
+        cos = align_instances(pipe, EYE_HEADS, AlignConfig(metric="cosine"))
         assert dot.entries[0].chosen_camera_index == 1
         assert cos.entries[0].chosen_camera_index == 0
 
     def test_cosine_choice_invariant_to_camera_scale(self):
         pipe = scene_output(random_insts(6, 6), random_insts(7, 7))
         cfg = AlignConfig(k_neighbors=3, metric="cosine")
-        base = align_instances(pipe, *EYE_HEADS, cfg).chosen()
+        base = align_instances(pipe, EYE_HEADS, cfg).chosen()
         for lam in (0.1, 10.0):
             scaled = replace(pipe, camera_feats=lam * pipe.camera_feats)
-            assert align_instances(scaled, *EYE_HEADS, cfg).chosen() == base
+            assert align_instances(scaled, EYE_HEADS, cfg).chosen() == base
 
 
-def reference_alignment(pipe, head_lidar, head_camera, cfg, nearest):
+def reference_alignment(pipe, heads, cfg):
     """The per-instance path align_instances replaces: brute-force neighbors,
     then the oracle align() per LiDAR instance, or minus the squared distance
-    for the nearest-neighbor baseline."""
+    for the nearest-neighbor baseline (heads None)."""
     cam_xy = centers(pipe.camera_proposals)
     entries = []
     for i, xy in enumerate(centers(pipe.lidar_proposals)):
         near = knn_brute(cam_xy, xy, cfg.k_neighbors)
-        if not nearest:
+        if heads is not None:
             vec = pipe.lidar_feats[i]
-            entries.append(align(i, vec, pipe.camera_feats, near, head_lidar, head_camera, cfg))
+            entries.append(align(i, vec, pipe.camera_feats, near, *heads, cfg))
             continue
         d = [-float(np.sum((cam_xy[j] - xy) ** 2)) for j in near]
         entries.append(AlignEntry(i, tuple(near), d, 0))
@@ -208,9 +208,10 @@ class TestAlignInstancesOracle:
         nearest = variant == "nearest"
         for seed in range(30):
             pipe, heads = lattice_scene(seed)
+            heads = None if nearest else heads
             cfg = AlignConfig(k_neighbors=k or len(pipe.camera_proposals) + 4, metric=metric)
-            got = align_instances(pipe, *heads, cfg, nearest=nearest).entries
-            want = reference_alignment(pipe, *heads, cfg, nearest)
+            got = align_instances(pipe, heads, cfg).entries
+            want = reference_alignment(pipe, heads, cfg)
             assert len(got) == len(want) == len(pipe.lidar_proposals)
             for g, w in zip(got, want):
                 assert g.lidar_index == w.lidar_index
@@ -232,11 +233,11 @@ class TestAlignInstancesOracle:
         with pytest.raises(ZeroVectorError):
             align(0, pipe.lidar_feats[0], pipe.camera_feats, [0, 1], *EYE_HEADS, cosine)
         with pytest.raises(ZeroVectorError):
-            align_instances(pipe, *EYE_HEADS, cosine)
+            align_instances(pipe, EYE_HEADS, cosine)
         # the zero row is fine when no instance uses it, or under the dot metric
-        near = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=1))
+        near = align_instances(pipe, EYE_HEADS, AlignConfig(k_neighbors=1))
         assert near.chosen() == {0: 0}
-        dot = align_instances(pipe, *EYE_HEADS, AlignConfig(k_neighbors=2, metric="dot"))
+        dot = align_instances(pipe, EYE_HEADS, AlignConfig(k_neighbors=2, metric="dot"))
         assert dot.entries[0].scores[1] == 0.0
 
 

@@ -31,9 +31,11 @@ from bevalign.oracles import (
 )
 from bevalign.pairing import PairSet
 
+# The dot-mode loss with the negatives only in its denominator.
+NEGATIVES_ONLY = LossConfig(mode="dot", include_positive_in_denominator=False)
 ALL_CONFIGS = (
-    LossConfig(mode="dot"),
-    LossConfig(mode="cosine", temperature=0.07),
+    NEGATIVES_ONLY,
+    LossConfig(mode="cosine", temperature=0.07, include_positive_in_denominator=False),
     LossConfig(mode="dot", include_positive_in_denominator=True),
     LossConfig(mode="cosine", temperature=0.07, include_positive_in_denominator=True),
 )
@@ -104,7 +106,10 @@ class TestInfoNce:
         """value == -pos_sim + logsumexp(neg_sims) reconstructed from the
         report's own similarity fields, within 1e-12."""
         rng = np.random.default_rng(0)
-        for cfg in (LossConfig(mode="dot"), LossConfig(mode="cosine")):
+        for cfg in (
+            LossConfig(mode="dot", include_positive_in_denominator=False),
+            LossConfig(mode="cosine", include_positive_in_denominator=False),
+        ):
             for _ in range(25):
                 rep = info_nce(
                     rng.standard_normal(10),
@@ -118,14 +123,14 @@ class TestInfoNce:
     def test_uniform_logits_give_ln_k(self):
         a = np.array([1.0, 0.0, 0.0])
         for k in (1, 8, 16):
-            rep = info_nce(a, a, np.tile(a, (k, 1)))
+            rep = info_nce(a, a, np.tile(a, (k, 1)), NEGATIVES_ONLY)
             assert rep.value == pytest.approx(math.log(k), abs=1e-12)
 
     def test_dot_mode_loss_can_be_negative(self):
         a = np.array([10.0, 0.0])
         c = np.array([10.0, 0.0])  # pos sim 100
         negs = np.array([[0.0, 1.0], [0.0, -1.0]])  # neg sims 0
-        rep = info_nce(a, c, negs)
+        rep = info_nce(a, c, negs, NEGATIVES_ONLY)
         assert rep.value == pytest.approx(-100.0 + math.log(2.0))
         assert rep.value < 0.0
 
@@ -155,7 +160,7 @@ class TestInfoNce:
     def test_camera_gradient_is_exact_negation_in_dot_mode(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(12)
-        rep = info_nce(a, rng.standard_normal(12), rng.standard_normal((6, 12)))
+        rep = info_nce(a, rng.standard_normal(12), rng.standard_normal((6, 12)), NEGATIVES_ONLY)
         assert np.array_equal(rep.grad_pos_camera, -a)
 
     def test_gradients_match_finite_differences(self):
@@ -430,6 +435,7 @@ class TestTrainHeads:
         with pytest.raises(ZeroVectorError):
             train_heads([material(lidar, cv, pairs)], cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_raises_instead_of_halving_forever(self):
         sp = make_scene_pairs(seed=9)
         huge = material(sp.lidar_feats * 1e200, sp.camera_feats * 1e200, sp.pairs)

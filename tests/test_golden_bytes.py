@@ -1,7 +1,7 @@
-"""Golden bytes: rendered scene maps, `bevalign align` outputs and
-`train_heads` results are pinned by sha256, so a change that claims
-identical outputs has to produce the same bytes on this platform's numpy,
-not merely close floats."""
+"""Golden bytes: rendered scene maps, `bevalign align` outputs,
+`train_heads` results and the criterion-5 metrics.csv are pinned by sha256,
+so a change that claims identical outputs has to produce the same bytes on
+this platform's numpy, not merely close floats."""
 
 import hashlib
 import json
@@ -12,6 +12,7 @@ import pytest
 from bevalign.alignfuse import PipelineOutput
 from bevalign.cli import main
 from bevalign.contrastive import LossConfig, TrainConfig, train_heads
+from bevalign.experiment import metrics_csv, run_experiment
 from bevalign.pairing import PairSet
 from bevalign.scenesim import (
     SceneConfig,
@@ -20,6 +21,7 @@ from bevalign.scenesim import (
     gen_scene,
     hash64,
 )
+from test_acceptance import ROBUST_CFG
 
 ALIGN_OUTPUTS = (
     "alignment.json",
@@ -31,10 +33,21 @@ ALIGN_OUTPUTS = (
 )
 
 # sha256 of each output of `align` on the `gen-scene --seed 5 --sigma-t 0.25`
-# bundle, first 16 hex digits; "default" runs with no config, "canonical"
-# with the positive in the softmax denominator.
+# bundle, first 16 hex digits, by the config `align` runs with: "default"
+# none, "canonical" the positive in the softmax denominator (the default),
+# "negatives_only" the negatives only.
+CANONICAL_ALIGN_DIGESTS = {
+    "alignment.json": "9151c9276d8f2633",
+    "lidar_proposals.json": "37e35096ebf77a2c",
+    "camera_proposals.json": "aba6617ff34b92a1",
+    "loss_trace.csv": "299f99e4926be977",
+    "fused": "9a37015b7fad531a",
+    "fused.json": "070a5167802475ce",
+}
 ALIGN_DIGESTS = {
-    "default": {
+    "default": CANONICAL_ALIGN_DIGESTS,
+    "canonical": CANONICAL_ALIGN_DIGESTS,
+    "negatives_only": {
         "alignment.json": "af4c164caf512f1c",
         "lidar_proposals.json": "37e35096ebf77a2c",
         "camera_proposals.json": "aba6617ff34b92a1",
@@ -42,14 +55,10 @@ ALIGN_DIGESTS = {
         "fused": "3a33628c0ba1053b",
         "fused.json": "070a5167802475ce",
     },
-    "canonical": {
-        "alignment.json": "9151c9276d8f2633",
-        "lidar_proposals.json": "37e35096ebf77a2c",
-        "camera_proposals.json": "aba6617ff34b92a1",
-        "loss_trace.csv": "299f99e4926be977",
-        "fused": "9a37015b7fad531a",
-        "fused.json": "070a5167802475ce",
-    },
+}
+ALIGN_CONFIGS = {
+    "canonical": {"loss": {"include_positive_in_denominator": True}},
+    "negatives_only": {"loss": {"include_positive_in_denominator": False}},
 }
 
 # sha256 of the JSON files of that `gen-scene --seed 5 --sigma-t 0.25`
@@ -111,15 +120,25 @@ def test_scene_maps_are_pinned():
 def test_align_outputs_are_pinned(name, tmp_path, capsys):
     bundle, out = tmp_path / "bundle", tmp_path / "out"
     args = ["align", "--bundle", str(bundle), "--out", str(out)]
-    if name == "canonical":
+    if name in ALIGN_CONFIGS:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"loss": {"include_positive_in_denominator": True}}))
+        cfg.write_text(json.dumps(ALIGN_CONFIGS[name]))
         args += ["--config", str(cfg)]
     assert main(["gen-scene", "--out", str(bundle), "--seed", "5", "--sigma-t", "0.25"]) == 0
     assert {f: _sha((bundle / f).read_bytes()) for f in BUNDLE_DIGESTS} == BUNDLE_DIGESTS
     assert main(args) == 0, capsys.readouterr().err
     digests = {f: _sha((out / f).read_bytes()) for f in ALIGN_OUTPUTS}
     assert digests == ALIGN_DIGESTS[name]
+
+
+# sha256 of the criterion-5 experiment's metrics.csv (ROBUST_CFG, base seed
+# 0), first 16 hex digits.
+ROBUST_METRICS_DIGEST = "41d80f7acf00e4cd"
+
+
+def test_robust_metrics_csv_is_pinned():
+    report, _ = run_experiment(ROBUST_CFG)
+    assert _sha(metrics_csv(report).encode()) == ROBUST_METRICS_DIGEST
 
 
 def _training_material(ragged: bool) -> list[PipelineOutput]:
